@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Direction
-from .linalg import condition_number, gated_solve
+from .coupling import CouplingMatrix
+from .linalg import gated_solve
+from .surrogate import radiated_pattern
 
 DELTA_F_FLOOR_DB = -300.0
 
@@ -25,7 +26,6 @@ class ExcitationVector:
 
     values: np.ndarray
     method: str = "custom"
-    normalization: str = "unit_norm"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -41,15 +41,6 @@ class PatternMetrics:
     psll_db: float
     beamwidth_defined: bool = True
     psll_defined: bool = True
-
-
-@dataclass
-class DirectivityReport:
-    directivity: float
-    direction: Direction
-    method: str
-    beamwidth_3db_deg: float
-    psll_db: float
 
 
 def _values(a):
@@ -87,6 +78,24 @@ def proposed_vector(c, z, e, tikhonov=None):
     b, _ = gated_solve(_values(c), x, tikhonov=tikhonov,
                        context="coupling matrix")
     return ExcitationVector(values=b / np.linalg.norm(b), method="proposed")
+
+
+def synthesize(method, z, e, c, tikhonov=None):
+    """Excitation of one method and the coupling matrix it radiates through.
+
+    ``theoretical`` is the traditional excitation without field coupling
+    (C = I), the array the bound e^H Z^-1 e describes.
+    """
+    if method == "mrt":
+        return mrt_vector(e), c
+    if method == "traditional":
+        return traditional_vector(z, e, tikhonov=tikhonov), c
+    if method == "proposed":
+        return proposed_vector(c, z, e, tikhonov=tikhonov), c
+    if method == "theoretical":
+        identity = CouplingMatrix(values=np.eye(len(e)), condition=1.0)
+        return traditional_vector(z, e, tikhonov=tikhonov), identity
+    raise ValueError("unknown synthesis method %r" % (method,))
 
 
 def directivity(a, e, z):
@@ -184,7 +193,6 @@ def delta_f_from_patterns(f_theory, f_actual):
 
 def delta_f(a, c, geom, grid, orientation=None):
     """Pattern deviation between the uncoupled and coupled responses."""
-    from .surrogate import radiated_pattern
     a_values = _values(a)
     identity = np.eye(geom.element_count)
     f_theory = radiated_pattern(a_values, identity, geom, grid, orientation)

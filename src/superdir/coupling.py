@@ -6,9 +6,11 @@ recovered from sampled fields three ways: full-grid least squares
 reduced-angle solve exploiting the column-reversal symmetry of uniform
 linear arrays, and the measurement ingestion path that converts
 H-plane amplitude/phase patterns into complex fields first.
+``FieldMatrix``, the sampled-field container, lives here rather than in
+the surrogate, which itself imports this module.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +19,35 @@ from .linalg import condition_number, gated_solve, lstsq_cutoff, singular_ratio
 
 RANK_GATE = 1e-6
 CONDITION_FLAG = 1e10
+
+
+@dataclass
+class FieldMatrix:
+    """Sampled far fields, rows interleaved (E_theta, E_phi) per point."""
+
+    values: np.ndarray
+    grid: object
+
+    def __post_init__(self):
+        if self.values.shape[0] != 2 * self.grid.size:
+            raise ValueError("field matrix needs 2 rows per grid point")
+
+    @property
+    def point_count(self):
+        return self.grid.size
+
+    @property
+    def element_count(self):
+        return self.values.shape[1]
+
+    def theta_rows(self):
+        return self.values[0::2]
+
+    def phi_rows(self):
+        return self.values[1::2]
+
+    def singular_ratio(self):
+        return singular_ratio(self.values)
 
 
 @dataclass
@@ -176,7 +207,6 @@ def fields_from_measurements(measurements, amplitude_kind="power"):
         else:
             magnitude = meas.amplitude
         values[0::2, m] = magnitude * np.exp(1j * np.deg2rad(meas.phase_deg))
-    from .surrogate import FieldMatrix
     return FieldMatrix(values=values, grid=grid)
 
 

@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .coupling import CouplingMatrix, PatternMeasurement
+from .coupling import CouplingMatrix, FieldMatrix, PatternMeasurement
 from .geometry import ArrayGeometry, Direction, hplane_grid, sphere_grid
 
 
@@ -143,7 +143,6 @@ def _grid_from_params(params, context):
 
 def read_field_dump(manifest_path):
     """Rebuild a FieldMatrix and geometry from a dump directory."""
-    from .surrogate import FieldMatrix
     directory = os.path.dirname(os.path.abspath(manifest_path))
     try:
         with open(manifest_path) as handle:

@@ -1,4 +1,4 @@
-"""Array geometry, element patterns, steering vectors, and angular grids.
+"""Array geometry, element gains, steering vectors, and angular grids.
 
 All lengths are expressed in wavelengths, so the wavenumber is k = 2*pi.
 Uniform linear arrays sit on the z axis with the first element at the
@@ -17,7 +17,6 @@ from scipy.special import roots_legendre
 K = 2.0 * np.pi
 
 ELEMENT_KINDS = ("isotropic", "ideal_dipole")
-ORIENTATIONS = ("axial", "in_plane")
 
 
 @dataclass(frozen=True)
@@ -26,7 +25,6 @@ class ArrayGeometry:
 
     element_count: int
     spacing: float
-    axis: str = "z"
     element: str = "isotropic"
     dipole_length: float = 0.5
 
@@ -35,19 +33,10 @@ class ArrayGeometry:
             raise ValueError("element_count must be >= 1")
         if not self.spacing > 0.0:
             raise ValueError("spacing must be positive")
-        if self.axis != "z":
-            raise ValueError("only z-axis arrays are supported")
         if self.element not in ELEMENT_KINDS:
             raise ValueError("unknown element kind %r" % (self.element,))
         if not self.dipole_length > 0.0:
             raise ValueError("dipole_length must be positive")
-
-    def positions(self):
-        """Element positions (M, 3) in wavelengths: (0, 0, (m-1)*d)."""
-        m = np.arange(self.element_count)
-        pos = np.zeros((self.element_count, 3))
-        pos[:, 2] = m * self.spacing
-        return pos
 
 
 @dataclass(frozen=True)
@@ -62,21 +51,6 @@ class Direction:
             raise ValueError("theta must lie in [0, pi]")
         if not -np.pi < self.phi <= np.pi + 1e-12:
             raise ValueError("phi must lie in (-pi, pi]")
-
-    def unit_vector(self):
-        st = np.sin(self.theta)
-        return np.array([st * np.cos(self.phi),
-                         st * np.sin(self.phi),
-                         np.cos(self.theta)])
-
-
-@dataclass(frozen=True)
-class ElementPattern:
-    kind: str = "isotropic"
-
-    def __post_init__(self):
-        if self.kind not in ELEMENT_KINDS:
-            raise ValueError("unknown element kind %r" % (self.kind,))
 
 
 @dataclass(frozen=True)
@@ -133,12 +107,6 @@ def gain_arrays(element, theta, phi):
     return g_theta, np.zeros_like(g_theta)
 
 
-def element_gain(pattern, direction):
-    """Complex gain pair (g_theta, g_phi) of one element in one direction."""
-    g_theta, g_phi = gain_arrays(pattern.kind, direction.theta, direction.phi)
-    return complex(g_theta), complex(g_phi)
-
-
 def phase_argument(theta, phi, orientation):
     """Direction cosine multiplying k*(m-1)*d in the steering phase."""
     if orientation == "axial":
@@ -188,14 +156,22 @@ def sphere_grid(n_theta, n_phi):
     return AngularGrid(theta=th, phi=ph, weight=wt, kind="full_sphere")
 
 
-def hplane_grid(step_deg):
-    """H-plane cut: phi ascending from -180 exclusive to 180 inclusive."""
+def hplane_degrees(step_deg):
+    """H-plane cut azimuths in degrees, ascending from -180 exclusive to
+    180 inclusive; ``step_deg`` must be positive and divide 360."""
+    if not step_deg > 0.0:
+        raise ValueError("step_deg must be positive, got %g" % (step_deg,))
     n = 360.0 / step_deg
     if abs(n - round(n)) > 1e-9:
         raise ValueError("step_deg must divide 360 evenly, got %g" % (step_deg,))
     n = int(round(n))
-    phi_deg = -180.0 + step_deg * np.arange(1, n + 1)
-    phi = np.deg2rad(phi_deg)
+    return -180.0 + step_deg * np.arange(1, n + 1)
+
+
+def hplane_grid(step_deg):
+    """H-plane cut: phi ascending from -180 exclusive to 180 inclusive."""
+    phi = np.deg2rad(hplane_degrees(step_deg))
+    n = len(phi)
     theta = np.full(n, np.pi / 2)
     weight = np.full(n, 2.0 * np.pi / n)
     return AngularGrid(theta=theta, phi=phi, weight=weight, kind="h_plane")

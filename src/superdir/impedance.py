@@ -30,7 +30,6 @@ class ImpedanceMatrix:
 
     values: np.ndarray
     self_power: float = 1.0
-    normalized: bool = True
 
     @property
     def size(self):

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import CouplingMatrix
-from .geometry import default_orientation, gain_arrays, steering_matrix
-from .linalg import condition_number, gated_solve, singular_ratio
+from .coupling import CouplingMatrix, FieldMatrix
+from .geometry import default_orientation, steering_matrix
+from .linalg import condition_number, gated_solve
 
 
 @dataclass(frozen=True)
@@ -37,35 +37,6 @@ class TerminationSpec:
         if self.convention == "self_match":
             return self_impedance
         return self.load
-
-
-@dataclass
-class FieldMatrix:
-    """Sampled far fields, rows interleaved (E_theta, E_phi) per point."""
-
-    values: np.ndarray
-    grid: object
-
-    def __post_init__(self):
-        if self.values.shape[0] != 2 * self.grid.size:
-            raise ValueError("field matrix needs 2 rows per grid point")
-
-    @property
-    def point_count(self):
-        return self.grid.size
-
-    @property
-    def element_count(self):
-        return self.values.shape[1]
-
-    def theta_rows(self):
-        return self.values[0::2]
-
-    def phi_rows(self):
-        return self.values[1::2]
-
-    def singular_ratio(self):
-        return singular_ratio(self.values)
 
 
 def isolated_fields(geom, grid, orientation=None):
@@ -116,16 +87,3 @@ def radiated_pattern(excitation, c, geom, grid, orientation=None):
         raise ValueError("excitation length does not match the geometry")
     es = isolated_fields(geom, grid, orientation)
     return es.values @ (c_values @ a)
-
-
-def hplane_power(excitation, c, geom, grid, orientation=None):
-    """Per-point radiated power on a grid (both polarizations summed)."""
-    field = radiated_pattern(excitation, c, geom, grid, orientation)
-    per_point = field.reshape(-1, 2)
-    return np.abs(per_point[:, 0]) ** 2 + np.abs(per_point[:, 1]) ** 2
-
-
-def gain_at(geom, direction):
-    """Convenience scalar |g| of the element toward one direction."""
-    g_theta, g_phi = gain_arrays(geom.element, direction.theta, direction.phi)
-    return float(np.hypot(np.abs(g_theta), np.abs(g_phi)))

@@ -19,7 +19,7 @@ def _write_config(path, **overrides):
                         "steer_theta_deg": 0.0, "steer_phi_deg": 0.0},
            "sweep": {"d_min": 0.2, "d_max": 0.5, "steps": 4},
            "grid": {"n_theta": 32, "n_phi": 64, "h_plane_step_deg": 1.0},
-           "efficiency": 0.96, "seed": 7}
+           "efficiency": 0.96}
     doc.update(overrides)
     with open(path, "w") as handle:
         json.dump(doc, handle)
@@ -32,7 +32,6 @@ def test_config_parsing(tmp_path):
     assert config.geometry.element_count == 4
     assert config.steps == 4
     assert config.efficiency == 0.96
-    assert config.seed == 7
 
 
 def test_config_validation(tmp_path):
@@ -105,6 +104,32 @@ def test_exit_codes(tmp_path):
 def test_unknown_arguments_exit_validation(tmp_path):
     assert cli.main(["sweep", "--nope"]) == 1
     assert cli.main(["unknown-subcommand"]) == 1
+    config = _write_config(tmp_path / "config.json")
+    out = str(tmp_path / "sweep.csv")
+    assert cli.main(["sweep", "--config", config, "--out", out,
+                     "--seed", "3"]) == 1
+    assert cli.main(["sweep", "--config", config]) == 1
+    assert cli.main(["acceptance", "--config", config]) == 1
+
+
+def test_h_plane_step_deg(tmp_path, capsys):
+    config = _write_config(tmp_path / "five.json",
+                           grid={"n_theta": 32, "n_phi": 64,
+                                 "h_plane_step_deg": 5.0})
+    assert cli.main(["pattern", "--config", config,
+                     "--out", str(tmp_path / "cut.csv")]) == 0
+    phi, _ = fileio.read_pattern_csv(tmp_path / "cut_mrt.csv")
+    assert len(phi) == 72
+    config = _write_config(tmp_path / "seven.json",
+                           grid={"n_theta": 32, "n_phi": 64,
+                                 "h_plane_step_deg": 7.0})
+    capsys.readouterr()
+    for command in ("sweep", "pattern"):
+        assert cli.main([command, "--config", config,
+                         "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "grid.h_plane_step_deg" in err
+        assert "Traceback" not in err
 
 
 def _dump_surrogate(tmp_path, m_count=4, spacing=0.3):

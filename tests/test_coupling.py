@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from superdir.coupling import (CouplingMatrix, PatternMeasurement,
-                               column_symmetry_residual,
+from superdir.coupling import (CouplingMatrix, FieldMatrix,
+                               PatternMeasurement, column_symmetry_residual,
                                default_reduced_angles, estimate_c_full,
                                estimate_c_reduced, fields_from_measurements,
                                minimum_angles, power_patterns_from)
 from superdir.geometry import (ArrayGeometry, hplane_grid, sphere_grid,
                                steering_matrix)
 from superdir.impedance import port_impedance_for
-from superdir.surrogate import (FieldMatrix, TerminationSpec, coupled_fields,
-                                isolated_fields)
+from superdir.surrogate import TerminationSpec, coupled_fields, isolated_fields
 
 
 def _surrogate_pair(m_count, spacing, grid):

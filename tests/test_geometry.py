@@ -3,18 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from superdir.geometry import (AngularGrid, ArrayGeometry, Direction,
-                               ElementPattern, default_orientation,
-                               element_gain, gain_arrays, hplane_grid,
-                               phase_argument, sphere_grid, steering_matrix,
-                               steering_vector)
-
-
-def test_positions_along_z():
-    geom = ArrayGeometry(element_count=4, spacing=0.3)
-    pos = geom.positions()
-    assert pos.shape == (4, 3)
-    assert_allclose(pos[:, 2], [0.0, 0.3, 0.6, 0.9])
-    assert_allclose(pos[:, :2], 0.0)
+                               default_orientation, gain_arrays,
+                               hplane_degrees, hplane_grid, phase_argument,
+                               sphere_grid, steering_matrix, steering_vector)
 
 
 def test_geometry_validation():
@@ -24,8 +15,6 @@ def test_geometry_validation():
         ArrayGeometry(element_count=2, spacing=-0.1)
     with pytest.raises(ValueError):
         ArrayGeometry(element_count=2, spacing=0.3, element="patch")
-    with pytest.raises(ValueError):
-        ArrayGeometry(element_count=2, spacing=0.3, axis="x")
 
 
 def test_direction_validation():
@@ -37,20 +26,12 @@ def test_direction_validation():
         Direction(theta=0.5, phi=-np.pi)
 
 
-def test_unit_vector():
-    d = Direction(theta=np.pi / 2, phi=np.pi / 2)
-    assert_allclose(d.unit_vector(), [0.0, 1.0, 0.0], atol=1e-15)
-    assert_allclose(Direction(theta=0.0, phi=0.0).unit_vector(), [0, 0, 1],
-                    atol=1e-15)
-
-
-def test_element_gain_dipole():
-    pattern = ElementPattern(kind="ideal_dipole")
-    g_theta, g_phi = element_gain(pattern, Direction(theta=np.pi / 2, phi=0.3))
-    assert_allclose(g_theta, 1.0)
-    assert g_phi == 0.0
-    g_axis, _ = element_gain(pattern, Direction(theta=0.0, phi=0.0))
-    assert abs(g_axis) < 1e-15
+def test_gain_arrays_dipole():
+    theta = np.array([0.0, 0.4, np.pi / 2, np.pi])
+    g_theta, g_phi = gain_arrays("ideal_dipole", theta, np.full(4, 0.3))
+    assert_allclose(g_theta, np.sin(theta), atol=1e-15)
+    assert_allclose(g_theta[[0, 3]], 0.0, atol=1e-15)
+    assert_allclose(g_phi, 0.0)
 
 
 def test_gain_arrays_isotropic():
@@ -121,8 +102,13 @@ def test_hplane_grid():
     assert_allclose(grid.theta, np.pi / 2)
     assert grid.phi[0] > -np.pi and grid.phi[-1] <= np.pi + 1e-12
     assert np.all(np.diff(grid.phi) > 0)
-    with pytest.raises(ValueError):
-        hplane_grid(0.7)
+    assert np.array_equal(grid.phi, np.deg2rad(hplane_degrees(1.0)))
+    degrees = hplane_degrees(5.0)
+    assert len(degrees) == 72
+    assert degrees[0] == -175.0 and degrees[-1] == 180.0
+    for step in (0.7, 7.0, 0.0, -5.0, 720.0):
+        with pytest.raises(ValueError):
+            hplane_grid(step)
 
 
 def test_grid_validation():

@@ -6,9 +6,9 @@ from superdir.geometry import (ArrayGeometry, Direction, hplane_grid,
                                sphere_grid, steering_vector)
 from superdir.impedance import (HALFWAVE_SELF_IMPEDANCE, port_impedance_for,
                                 port_impedance_synthetic)
-from superdir.surrogate import (FieldMatrix, TerminationSpec, coupled_fields,
-                                hplane_power, isolated_fields,
-                                radiated_pattern)
+from superdir.coupling import FieldMatrix
+from superdir.surrogate import (TerminationSpec, coupled_fields,
+                                isolated_fields, radiated_pattern)
 
 
 def test_termination_resolve():
@@ -91,18 +91,6 @@ def test_radiated_pattern_linearity():
     pb = radiated_pattern(b, c, geom, grid)
     pab = radiated_pattern(a + b, c, geom, grid)
     assert_allclose(pab, pa + pb, atol=1e-12)
-
-
-def test_hplane_power_matches_pattern():
-    geom = ArrayGeometry(element_count=4, spacing=0.25)
-    grid = hplane_grid(1.0)
-    _, c = coupled_fields(geom, grid, port_impedance_synthetic(geom),
-                          TerminationSpec())
-    a = np.array([1.0, 1.0j, -1.0, -1.0j])
-    power = hplane_power(a, c, geom, grid)
-    fields = radiated_pattern(a, c, geom, grid)
-    assert_allclose(power, np.abs(fields[0::2]) ** 2 +
-                    np.abs(fields[1::2]) ** 2, atol=1e-12)
 
 
 def test_singular_ratio_full_rank():
