@@ -23,8 +23,8 @@ from .impedance import (ImpedanceMatrix, PortImpedanceMatrix,
                         port_impedance_for, z_from_measurements, z_full,
                         z_hplane, z_isotropic_closed)
 from .linalg import ConditionGateError, condition_number, gated_solve
-from .surrogate import (TerminationSpec, coupled_fields, isolated_fields,
-                        radiated_pattern)
+from .surrogate import (TerminationSpec, coupled_fields, coupling_truth,
+                        isolated_fields, radiated_pattern)
 
 __version__ = "0.1.0"
 
@@ -33,8 +33,8 @@ __all__ = [
     "Direction", "ExcitationVector", "FieldMatrix", "ImpedanceMatrix",
     "PatternMeasurement", "PatternMetrics", "PortImpedanceMatrix",
     "TerminationSpec", "column_symmetry_residual", "condition_number",
-    "coupled_fields", "default_reduced_angles", "delta_d", "delta_f",
-    "delta_f_from_patterns", "directivity", "directivity_coupled",
+    "coupled_fields", "coupling_truth", "default_reduced_angles", "delta_d",
+    "delta_f", "delta_f_from_patterns", "directivity", "directivity_coupled",
     "eig_crosscheck", "estimate_c_full", "estimate_c_reduced",
     "fields_from_measurements",
     "gain", "gated_solve", "hplane_grid", "isolated_fields",

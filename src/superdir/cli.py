@@ -23,9 +23,44 @@ from .fileio import ValidationError
 from .geometry import (ArrayGeometry, Direction, hplane_degrees, sphere_grid,
                        steering_matrix, steering_vector)
 from .linalg import ConditionGateError, condition_number
-from .surrogate import TerminationSpec
 
 ALL_METHODS = ("mrt", "traditional", "proposed", "theoretical")
+
+
+# The keys each config section accepts; "" is the top level.
+CONFIG_KEYS = {
+    "": ("geometry", "methods", "sweep", "grid", "efficiency"),
+    "geometry": ("elements", "spacing_wl", "element", "steer_theta_deg",
+                 "steer_phi_deg"),
+    "sweep": ("d_min", "d_max", "steps"),
+    "grid": ("n_theta", "n_phi", "h_plane_step_deg"),
+}
+
+
+def _section(path, doc, name):
+    """Config section ``name`` as a dict whose keys are all known."""
+    section = doc.get(name, {}) if name else doc
+    if not isinstance(section, dict):
+        raise ValidationError("%s: %s must be a JSON object" %
+                              (path, name or "the config"))
+    for key in section:
+        if key not in CONFIG_KEYS[name]:
+            raise ValidationError("%s: unknown key %s; valid keys: %s" % (
+                path, ".".join(filter(None, (name, key))),
+                ", ".join(CONFIG_KEYS[name])))
+    return section
+
+
+def _number(path, section, name, key, kind=float):
+    """Finite ``kind`` value of ``section[key]``, else the field default."""
+    try:
+        value = kind(section.get(key, getattr(ExperimentConfig, key)))
+        if not np.isfinite(value):
+            raise ValueError("must be finite, got %r" % (value,))
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValidationError("%s: %s: %s" % (
+            path, ".".join(filter(None, (name, key))), exc)) from exc
+    return value
 
 
 @dataclass
@@ -48,35 +83,48 @@ class ExperimentConfig:
                 doc = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError("%s: %s" % (path, exc)) from exc
-        geom, steer = fileio.geometry_from_dict(doc.get("geometry", {}), path)
-        methods = tuple(doc.get("methods", ALL_METHODS))
+        doc = _section(path, doc, "")
+        geom, steer = fileio.geometry_from_dict(
+            _section(path, doc, "geometry"), path)
+        methods = doc.get("methods", ALL_METHODS)
+        if not isinstance(methods, (list, tuple)):
+            raise ValidationError("%s: methods must be a list" % (path,))
         for method in methods:
             if method not in ALL_METHODS:
                 raise ValidationError("%s: unknown method %r" % (path, method))
-        sweep = doc.get("sweep", {})
-        d_min = float(sweep.get("d_min", 0.05))
-        d_max = float(sweep.get("d_max", 0.5))
-        steps = int(sweep.get("steps", 19))
+        sweep = _section(path, doc, "sweep")
+        d_min = _number(path, sweep, "sweep", "d_min")
+        d_max = _number(path, sweep, "sweep", "d_max")
+        steps = _number(path, sweep, "sweep", "steps", int)
         if not d_min < d_max:
             raise ValidationError("%s: sweep needs d_min < d_max" % (path,))
         if steps < 2:
             raise ValidationError("%s: sweep needs steps >= 2" % (path,))
-        efficiency = float(doc.get("efficiency", 1.0))
+        efficiency = _number(path, doc, "", "efficiency")
         if not 0.0 < efficiency <= 1.0:
             raise ValidationError("%s: efficiency must lie in (0, 1]" % (path,))
-        grid = doc.get("grid", {})
+        grid = _section(path, doc, "grid")
+        n_theta = _number(path, grid, "grid", "n_theta", int)
+        n_phi = _number(path, grid, "grid", "n_phi", int)
+        for key, value in (("n_theta", n_theta), ("n_phi", n_phi)):
+            if value < 2:
+                raise ValidationError("%s: grid.%s must be >= 2, got %d" %
+                                      (path, key, value))
+        step = _number(path, grid, "grid", "h_plane_step_deg")
         try:
-            h_plane_step_deg = float(grid.get("h_plane_step_deg", 1.0))
-            hplane_degrees(h_plane_step_deg)
-        except (TypeError, ValueError) as exc:
+            cut_points = len(hplane_degrees(step))
+        except ValueError as exc:
             raise ValidationError(
                 "%s: grid.h_plane_step_deg: %s" % (path, exc)) from exc
-        return cls(geometry=geom, steer=steer, methods=methods,
+        if cut_points < 4:
+            # pattern_metrics needs a lobe and its neighbours on the cut
+            raise ValidationError(
+                "%s: grid.h_plane_step_deg: %g leaves %d cut points, need "
+                "at least 4" % (path, step, cut_points))
+        return cls(geometry=geom, steer=steer, methods=tuple(methods),
                    d_min=d_min, d_max=d_max, steps=steps,
-                   efficiency=efficiency,
-                   n_theta=int(grid.get("n_theta", 64)),
-                   n_phi=int(grid.get("n_phi", 128)),
-                   h_plane_step_deg=h_plane_step_deg)
+                   efficiency=efficiency, n_theta=n_theta, n_phi=n_phi,
+                   h_plane_step_deg=step)
 
 
 def _orientation_for(geom):
@@ -114,13 +162,7 @@ def _arrays(config, spacings):
         geom = replace(config.geometry, spacing=float(d))
         z = impedance.z_full(geom, grid, orientation)
         e = steering_vector(geom, config.steer, orientation)
-        zc = impedance.port_impedance_for(geom)
-        # E_c is not used, but it stays referenced until the next spacing
-        # replaces it.  Freed at once, its pages go back to the OS and the
-        # next spacing faults them in again, which made an M=16 sweep
-        # 15-20% slower (measured on 2 x86 cores).
-        ec, c_true = surrogate.coupled_fields(geom, grid, zc,
-                                              TerminationSpec())
+        c_true = surrogate.coupling_truth(impedance.port_impedance_for(geom))
         cut = steering_matrix(geom, cut_theta, cut_phi, orientation)
         yield geom, z, e, c_true, cut
 

@@ -46,58 +46,85 @@ def geometry_to_dict(geom, steer=None):
     return doc
 
 
+MEASUREMENT_COLUMNS = ["phi_deg", "amplitude", "phase_deg"]
+DUMP_COLUMNS = ["theta_deg", "phi_deg", "e_theta_re", "e_theta_im",
+                "e_phi_re", "e_phi_im"]
+PATTERN_COLUMNS = ["phi_deg", "power_db_normalized"]
+
+
+def _write_table(path, header, columns):
+    """Write equal-length float columns under a header, one %.17g cell
+    per value and CRLF line ends, as ``csv.writer`` writes them."""
+    table = np.column_stack(columns).astype(float)
+    row = ",".join(["%.17g"] * len(header)) + "\r\n"
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(header) + "\r\n")
+        handle.write((row * len(table)) % tuple(table.ravel().tolist()))
+
+
+def _read_table(path, header):
+    """(n, k) float array of a headed CSV table, and each row's line.
+
+    Blank lines are skipped.  A wrong header, a wrong column count, a
+    non-numeric or a non-finite cell raises ValidationError naming
+    ``path:line``.
+    """
+    try:
+        with open(path) as handle:
+            lines = handle.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError("%s: %s" % (path, exc)) from exc
+    if [cell.strip() for cell in lines[0].split(",")] != header:
+        raise ValidationError(
+            "%s:1: expected header %s" % (path, ",".join(header)))
+    # One flat list of floats: no per-row containers for the GC to track.
+    cells, linenos = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        row = line.split(",")
+        if len(row) != len(header):
+            raise ValidationError("%s:%d: expected %d columns" %
+                                  (path, lineno, len(header)))
+        try:
+            cells.extend(map(float, row))
+        except ValueError:
+            raise ValidationError(
+                "%s:%d: non-numeric value" % (path, lineno)) from None
+        linenos.append(lineno)
+    table = np.array(cells, dtype=float).reshape(len(linenos), len(header))
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        raise ValidationError(
+            "%s:%d: non-finite value" % (path, linenos[bad.argmax()]))
+    return table, linenos
+
+
 def read_measurement_csv(path, antenna_index=0):
     """Parse one measurement file: columns phi_deg, amplitude, phase_deg.
 
     The header row is mandatory and phi must ascend from -180 exclusive
     to 180 inclusive.
     """
-    phi, amp, phase = [], [], []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError("%s:1: empty file" % (path,)) from None
-        expected = ["phi_deg", "amplitude", "phase_deg"]
-        if [h.strip() for h in header] != expected:
-            raise ValidationError(
-                "%s:1: expected header %s" % (path, ",".join(expected)))
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValidationError("%s:%d: expected 3 columns" % (path, lineno))
-            try:
-                values = [float(x) for x in row]
-            except ValueError:
-                raise ValidationError(
-                    "%s:%d: non-numeric value" % (path, lineno)) from None
-            phi.append(values[0])
-            amp.append(values[1])
-            phase.append(values[2])
-    if not phi:
+    table, _ = _read_table(path, MEASUREMENT_COLUMNS)
+    if not len(table):
         raise ValidationError("%s: no data rows" % (path,))
-    phi = np.asarray(phi)
+    phi, amp, phase = table.T.copy()
     if np.any(np.diff(phi) <= 0.0):
         raise ValidationError("%s: phi_deg must be strictly ascending" % (path,))
     if phi[0] <= -180.0 or phi[-1] > 180.0:
         raise ValidationError(
             "%s: phi_deg must lie in (-180, 180]" % (path,))
-    if min(amp) < 0.0:
+    if amp.min() < 0.0:
         raise ValidationError("%s: negative amplitude sample" % (path,))
-    return PatternMeasurement(phi_deg=phi, amplitude=np.asarray(amp),
-                              phase_deg=np.asarray(phase),
+    return PatternMeasurement(phi_deg=phi, amplitude=amp, phase_deg=phase,
                               antenna_index=antenna_index)
 
 
 def write_measurement_csv(path, measurement):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["phi_deg", "amplitude", "phase_deg"])
-        for row in zip(measurement.phi_deg, measurement.amplitude,
-                       measurement.phase_deg):
-            writer.writerow([_fmt(v) for v in row])
+    _write_table(path, MEASUREMENT_COLUMNS,
+                 [measurement.phi_deg, measurement.amplitude,
+                  measurement.phase_deg])
 
 
 def write_field_dump(directory, fields, geom, grid_params):
@@ -111,14 +138,9 @@ def write_field_dump(directory, fields, geom, grid_params):
     for m in range(fields.element_count):
         name = "port_%d.csv" % (m + 1,)
         files.append(name)
-        with open(os.path.join(directory, name), "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["theta_deg", "phi_deg", "e_theta_re",
-                             "e_theta_im", "e_phi_re", "e_phi_im"])
-            for p in range(fields.point_count):
-                writer.writerow([_fmt(theta_deg[p]), _fmt(phi_deg[p]),
-                                 _fmt(e_theta[p, m].real), _fmt(e_theta[p, m].imag),
-                                 _fmt(e_phi[p, m].real), _fmt(e_phi[p, m].imag)])
+        _write_table(os.path.join(directory, name), DUMP_COLUMNS,
+                     [theta_deg, phi_deg, e_theta[:, m].real,
+                      e_theta[:, m].imag, e_phi[:, m].real, e_phi[:, m].imag])
     manifest = {"geometry": geometry_to_dict(geom),
                 "grid": grid_params,
                 "files": files}
@@ -156,34 +178,24 @@ def read_field_dump(manifest_path):
         raise ValidationError(
             "%s: expected %d port files, found %d" %
             (manifest_path, geom.element_count, len(files)))
-    values = np.zeros((2 * grid.size, geom.element_count), dtype=complex)
+    theta_deg = np.rad2deg(grid.theta)
+    phi_deg = np.rad2deg(grid.phi)
+    values = np.empty((2 * grid.size, geom.element_count), dtype=complex)
     for m, name in enumerate(files):
         path = os.path.join(directory, name)
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != \
-                    ["theta_deg", "phi_deg", "e_theta_re", "e_theta_im",
-                     "e_phi_re", "e_phi_im"]:
-                raise ValidationError("%s:1: bad field dump header" % (path,))
-            rows = list(reader)
-        if len(rows) != grid.size:
+        table, linenos = _read_table(path, DUMP_COLUMNS)
+        if len(table) != grid.size:
             raise ValidationError(
                 "%s: expected %d rows for the declared grid, found %d" %
-                (path, grid.size, len(rows)))
-        for p, row in enumerate(rows):
-            try:
-                values_row = [float(x) for x in row]
-            except ValueError:
-                raise ValidationError(
-                    "%s:%d: non-numeric value" % (path, p + 2)) from None
-            if abs(values_row[0] - np.rad2deg(grid.theta[p])) > 1e-6 or \
-                    abs(values_row[1] - np.rad2deg(grid.phi[p])) > 1e-6:
-                raise ValidationError(
-                    "%s:%d: angles disagree with the manifest grid" %
-                    (path, p + 2))
-            values[2 * p, m] = values_row[2] + 1j * values_row[3]
-            values[2 * p + 1, m] = values_row[4] + 1j * values_row[5]
+                (path, grid.size, len(table)))
+        off = (np.abs(table[:, 0] - theta_deg) > 1e-6) | \
+            (np.abs(table[:, 1] - phi_deg) > 1e-6)
+        if off.any():
+            raise ValidationError(
+                "%s:%d: angles disagree with the manifest grid" %
+                (path, linenos[off.argmax()]))
+        values[0::2, m] = table[:, 2] + 1j * table[:, 3]
+        values[1::2, m] = table[:, 4] + 1j * table[:, 5]
     return FieldMatrix(values=values, grid=grid), geom
 
 
@@ -234,11 +246,8 @@ def write_sweep_csv(path, rows):
         writer = csv.writer(handle)
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:
-            out = []
-            for col in SWEEP_COLUMNS:
-                value = row[col]
-                out.append(value if col == "method" else _fmt(value))
-            writer.writerow(out)
+            writer.writerow([row[col] if col == "method" else _fmt(row[col])
+                             for col in SWEEP_COLUMNS])
 
 
 def read_sweep_csv(path):
@@ -251,31 +260,14 @@ def read_sweep_csv(path):
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(SWEEP_COLUMNS):
                 raise ValidationError("%s:%d: wrong column count" % (path, lineno))
-            parsed = {}
-            for col, value in zip(SWEEP_COLUMNS, row):
-                parsed[col] = value if col == "method" else float(value)
-            rows.append(parsed)
+            rows.append({col: value if col == "method" else float(value)
+                         for col, value in zip(SWEEP_COLUMNS, row)})
     return rows
 
 
 def write_pattern_csv(path, phi_deg, power_db):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["phi_deg", "power_db_normalized"])
-        for p, db in zip(phi_deg, power_db):
-            writer.writerow([_fmt(p), _fmt(db)])
+    _write_table(path, PATTERN_COLUMNS, [phi_deg, power_db])
 
 
 def read_pattern_csv(path):
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["phi_deg", "power_db_normalized"]:
-            raise ValidationError("%s:1: bad pattern header" % (path,))
-        phi, db = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise ValidationError("%s:%d: wrong column count" % (path, lineno))
-            phi.append(float(row[0]))
-            db.append(float(row[1]))
-    return np.asarray(phi), np.asarray(db)
+    return tuple(_read_table(path, PATTERN_COLUMNS)[0].T.copy())

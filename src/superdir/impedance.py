@@ -15,6 +15,7 @@ clearly-labeled synthetic network.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 from scipy.special import j0, sici
 
 from .geometry import K, gain_arrays, phase_argument
@@ -188,13 +189,13 @@ def port_impedance_emf(geom):
         raise ValueError("induced-EMF network requires ideal_dipole elements")
     if abs(geom.dipole_length - 0.5) > 1e-12:
         raise ValueError("induced-EMF network requires dipole_length = 0.5")
-    m_count = geom.element_count
-    zc = np.full((m_count, m_count), HALFWAVE_SELF_IMPEDANCE, dtype=complex)
-    for i in range(m_count):
-        for j in range(m_count):
-            if i != j:
-                zc[i, j] = mutual_impedance_emf(geom.spacing * abs(i - j),
-                                                half_length=geom.dipole_length / 2.0)
+    # Z_c depends only on |i - j|: one vectorized call for the M - 1 lags.
+    # toeplitz(col) alone would conjugate the row into a Hermitian matrix.
+    col = np.empty(geom.element_count, dtype=complex)
+    col[0] = HALFWAVE_SELF_IMPEDANCE
+    col[1:] = mutual_impedance_emf(geom.spacing * np.arange(1, len(col)),
+                                   half_length=geom.dipole_length / 2.0)
+    zc = toeplitz(col, col)
     return PortImpedanceMatrix(values=zc, self_impedance=HALFWAVE_SELF_IMPEDANCE)
 
 

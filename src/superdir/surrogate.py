@@ -49,16 +49,13 @@ def isolated_fields(geom, grid, orientation=None):
     return FieldMatrix(values=values, grid=grid)
 
 
-def coupled_fields(geom, grid, zc, term=TerminationSpec(), orientation=None):
-    """E_c and the ground-truth coupling matrix from the port network.
+def coupling_truth(zc, term=TerminationSpec()):
+    """Ground-truth coupling matrix of the terminated port network.
 
     Exciting port m with a unit source while the others are loaded with
     Z_L induces currents (Z_c + Z_L I)^-1 applied column by column; the
-    current matrix scaled to unit mean diagonal is C_true, and
-    E_c = E_s C_true exactly.
+    current matrix scaled to unit mean diagonal is C_true.
     """
-    if zc.size != geom.element_count:
-        raise ValueError("port network size does not match the geometry")
     load = term.resolve(zc.self_impedance)
     a = zc.values + load * np.eye(zc.size)
     currents, _ = gated_solve(a, np.eye(zc.size, dtype=complex),
@@ -67,10 +64,16 @@ def coupled_fields(geom, grid, zc, term=TerminationSpec(), orientation=None):
     if scale == 0.0:
         raise ValueError("degenerate port network: zero mean diagonal current")
     c = currents / scale
+    return CouplingMatrix(values=c, condition=condition_number(c))
+
+
+def coupled_fields(geom, grid, zc, term=TerminationSpec(), orientation=None):
+    """E_c = E_s C_true, exactly, and C_true from ``coupling_truth``."""
+    if zc.size != geom.element_count:
+        raise ValueError("port network size does not match the geometry")
+    c_true = coupling_truth(zc, term)
     es = isolated_fields(geom, grid, orientation)
-    ec = FieldMatrix(values=es.values @ c, grid=grid)
-    c_true = CouplingMatrix(values=c, condition=condition_number(c))
-    return ec, c_true
+    return FieldMatrix(values=es.values @ c_true.values, grid=grid), c_true
 
 
 def radiated_pattern(excitation, c, geom, grid, orientation=None):

@@ -120,16 +120,22 @@ def test_h_plane_step_deg(tmp_path, capsys):
                      "--out", str(tmp_path / "cut.csv")]) == 0
     phi, _ = fileio.read_pattern_csv(tmp_path / "cut_mrt.csv")
     assert len(phi) == 72
-    config = _write_config(tmp_path / "seven.json",
-                           grid={"n_theta": 32, "n_phi": 64,
-                                 "h_plane_step_deg": 7.0})
     capsys.readouterr()
-    for command in ("sweep", "pattern"):
-        assert cli.main([command, "--config", config,
-                         "--out", str(tmp_path / "x.csv")]) == 1
-        err = capsys.readouterr().err
-        assert "grid.h_plane_step_deg" in err
-        assert "Traceback" not in err
+    # 7 does not divide 360; 120, 180 and 360 leave fewer than 4 cut points
+    cases = [({"grid": {"h_plane_step_deg": step}}, "grid.h_plane_step_deg")
+             for step in (7.0, 120.0, 180.0, 360.0)]
+    cases += [({"grid": {"n_theta": 1}}, "grid.n_theta"),
+              ({"sweep": {"stpes": 3}}, "sweep.stpes; valid keys: d_min, "
+               "d_max, steps")]
+    for number, (overrides, message) in enumerate(cases):
+        config = _write_config(tmp_path / ("bad%d.json" % number),
+                               **overrides)
+        for command in ("sweep", "pattern"):
+            assert cli.main([command, "--config", config,
+                             "--out", str(tmp_path / "x.csv")]) == 1
+            err = capsys.readouterr().err
+            assert message in err
+            assert "Traceback" not in err
 
 
 def _dump_surrogate(tmp_path, m_count=4, spacing=0.3):
@@ -216,6 +222,35 @@ def test_ingest_outputs_z_and_c(tmp_path):
     assert_allclose(z, z.T, atol=1e-12)
     c = fileio.read_c_json(tmp_path / "run_c.json")
     assert_allclose(c.values, c_true.values, atol=1e-9)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_non_finite_inputs_exit_1(tmp_path, capsys, cell):
+    geom, _, es, ec, _ = _dump_surrogate(tmp_path)
+    directory = _write_measurements(tmp_path, geom, es, ec)
+    config = _write_config(tmp_path / "config.json",
+                           geometry=fileio.geometry_to_dict(geom))
+    for path, index, column in ((directory / "coupled_2.csv", 7, 2),
+                                (tmp_path / "ec" / "port_3.csv", 5, 4)):
+        lines = path.read_text().splitlines()
+        cells = lines[index].split(",")
+        cells[column] = cell
+        lines[index] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    for argv, where in (
+            (["ingest", "--measurements", str(directory), "--config", config,
+              "--out", str(tmp_path / "run")], "coupled_2.csv:8"),
+            (["estimate-c", "--measurements", str(directory),
+              "--config", config, "--out", str(tmp_path / "c.json")],
+             "coupled_2.csv:8"),
+            (["estimate-c", "--es", str(tmp_path / "es" / "manifest.json"),
+              "--ec", str(tmp_path / "ec" / "manifest.json"),
+              "--out", str(tmp_path / "c.json")], "port_3.csv:6")):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert where + ": non-finite value" in err
+        assert "Traceback" not in err
 
 
 def test_ingest_rejects_incomplete_set(tmp_path):

@@ -63,6 +63,18 @@ def test_measurement_csv_bad_row(tmp_path):
         fileio.read_measurement_csv(path)
 
 
+@pytest.mark.parametrize("column", range(3))
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_measurement_csv_rejects_non_finite(tmp_path, column, cell):
+    row = ["10.0", "1.0", "0.0"]
+    row[column] = cell
+    path = tmp_path / "bad.csv"
+    path.write_text("phi_deg,amplitude,phase_deg\n0.0,1.0,0.0\n\n" +
+                    ",".join(row) + "\n")
+    with pytest.raises(ValidationError, match="bad.csv:4: non-finite"):
+        fileio.read_measurement_csv(path)
+
+
 def test_measurement_csv_ordering_and_range(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("phi_deg,amplitude,phase_deg\n"
@@ -102,6 +114,54 @@ def test_field_dump_detects_angle_mismatch(tmp_path):
     manifest["grid"]["step_deg"] = 4.0
     (root / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValidationError):
+        fileio.read_field_dump(root / "manifest.json")
+
+
+def _dump_port_lines(tmp_path, geom=ArrayGeometry(element_count=2,
+                                                   spacing=0.3)):
+    """Write an H-plane dump; return the root and port_1.csv's lines."""
+    root = tmp_path / "dump"
+    fileio.write_field_dump(root, isolated_fields(geom, hplane_grid(2.0)),
+                            geom, {"kind": "h_plane", "step_deg": 2.0})
+    return root, (root / "port_1.csv").read_text().splitlines()
+
+
+def _rewrite(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_field_dump_angle_mismatch_names_line(tmp_path):
+    root, lines = _dump_port_lines(tmp_path)
+    cells = lines[9].split(",")
+    cells[1] = repr(float(cells[1]) + 0.5)
+    lines[9] = ",".join(cells)
+    # a blank line is skipped but still counted
+    _rewrite(root / "port_1.csv", lines[:3] + [""] + lines[3:])
+    with pytest.raises(ValidationError,
+                       match=r"port_1.csv:11: angles disagree"):
+        fileio.read_field_dump(root / "manifest.json")
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_field_dump_rejects_non_finite(tmp_path, cell):
+    root, lines = _dump_port_lines(tmp_path)
+    cells = lines[4].split(",")
+    cells[3] = cell
+    lines[4] = ",".join(cells)
+    _rewrite(root / "port_1.csv", lines)
+    with pytest.raises(ValidationError, match="port_1.csv:5: non-finite"):
+        fileio.read_field_dump(root / "manifest.json")
+
+
+def test_field_dump_row_column_count(tmp_path):
+    root, lines = _dump_port_lines(tmp_path)
+    lines[6] = lines[6].rsplit(",", 1)[0]
+    _rewrite(root / "port_1.csv", lines)
+    with pytest.raises(ValidationError,
+                       match="port_1.csv:7: expected 6 columns"):
+        fileio.read_field_dump(root / "manifest.json")
+    _rewrite(root / "port_1.csv", ["theta_deg,phi_deg"] + lines[1:])
+    with pytest.raises(ValidationError, match="port_1.csv:1: expected header"):
         fileio.read_field_dump(root / "manifest.json")
 
 
@@ -161,14 +221,22 @@ def test_pattern_csv_roundtrip(tmp_path):
     phi2, db2 = fileio.read_pattern_csv(path)
     assert np.array_equal(phi2, phi)
     assert np.array_equal(db2, db)
+    # csv-style CRLF line ends, one per row plus the header
+    data = path.read_bytes()
+    assert data.startswith(b"phi_deg,power_db_normalized\r\n-179,")
+    assert data.count(b"\r\n") == len(phi) + 1
+    assert data.count(b"\n") == len(phi) + 1
 
 
 def test_serialization_is_exact(tmp_path):
     # %.17g round-trips arbitrary doubles bit for bit
     rng = np.random.default_rng(8)
     values = rng.standard_normal(100) * 10.0 ** rng.integers(-12, 12, 100)
+    # signed zero, the smallest subnormal and the largest finite doubles
+    values[:5] = [-0.0, 5e-324, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 0.0]
     phi = np.linspace(-179.0, 180.0, 100)
     path = tmp_path / "exact.csv"
     fileio.write_pattern_csv(path, phi, values)
     _, back = fileio.read_pattern_csv(path)
-    assert np.array_equal(back, values)
+    assert back.tobytes() == values.tobytes()

@@ -121,6 +121,19 @@ def test_port_impedance_emf_structure():
         port_impedance_emf(ArrayGeometry(element_count=3, spacing=0.4))
 
 
+def test_port_impedance_emf_is_symmetric_toeplitz():
+    geom = ArrayGeometry(element_count=5, spacing=0.13,
+                         element="ideal_dipole")
+    zc = port_impedance_emf(geom).values
+    # symmetric, not Hermitian: the reactances are not conjugated
+    assert np.array_equal(zc, zc.T)
+    assert not np.allclose(zc, zc.conj().T)
+    for i in range(5):
+        for j in range(5):
+            if i != j:
+                assert zc[i, j] == mutual_impedance_emf(0.13 * abs(i - j))
+
+
 def test_port_impedance_synthetic_structure():
     geom = ArrayGeometry(element_count=3, spacing=0.25)
     zc = port_impedance_synthetic(geom)

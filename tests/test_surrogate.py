@@ -8,7 +8,8 @@ from superdir.impedance import (HALFWAVE_SELF_IMPEDANCE, port_impedance_for,
                                 port_impedance_synthetic)
 from superdir.coupling import FieldMatrix
 from superdir.surrogate import (TerminationSpec, coupled_fields,
-                                isolated_fields, radiated_pattern)
+                                coupling_truth, isolated_fields,
+                                radiated_pattern)
 
 
 def test_termination_resolve():
@@ -54,6 +55,18 @@ def test_coupled_fields_factorization():
     # normalization pins the mean self term of C to one
     assert_allclose(np.mean(np.diag(c.values)), 1.0, atol=1e-12)
     assert np.isfinite(c.condition)
+
+
+def test_coupling_truth_is_the_c_of_coupled_fields():
+    geom = ArrayGeometry(element_count=6, spacing=0.15,
+                         element="ideal_dipole")
+    zc = port_impedance_for(geom)
+    term = TerminationSpec(convention="self_match")
+    _, c = coupled_fields(geom, hplane_grid(5.0), zc, term)
+    truth = coupling_truth(zc, term)
+    assert np.array_equal(truth.values, c.values)
+    assert truth.condition == c.condition
+    assert not np.array_equal(coupling_truth(zc).values, c.values)
 
 
 def test_coupling_strength_grows_as_spacing_shrinks():
