@@ -70,25 +70,41 @@ def _normalize(raw):
     return z, self_term
 
 
+def _lag_column(weight, phase, count):
+    """c_l = sum_p weight_p cos(l phase_p) for l = 0 .. count - 1.
+
+    A uniform linear array's Gram matrix depends on m - n only, so these
+    ``count`` lag sums fill it as a Toeplitz matrix.  One running complex
+    product over the points gives every lag, where a (P, M) phase matrix
+    and an M x M product would compute each lag M times over.
+    """
+    step = np.exp(1j * phase)
+    turn = np.ones_like(step)
+    col = np.empty(count)
+    for lag in range(count):
+        col[lag] = weight @ turn.real
+        turn *= step
+    return col
+
+
 def z_full(geom, grid, orientation="axial"):
     """Full-sphere quadrature of the normalized impedance matrix.
 
     z_mn = (1/4pi) integral |g|^2 exp(j k r.(r_m - r_n)) dS, scaled so
     the diagonal is 1.  ``orientation`` selects whether element
     displacements run along the pattern's polar axis or in the
-    theta = pi/2 plane (the measurement configuration).
+    theta = pi/2 plane (the measurement configuration).  The integral is
+    real (its sine part is odd in m - n) and depends on m - n only, so it
+    is summed once per lag and filled in by ``toeplitz``.
     """
     if grid.kind != "full_sphere":
         raise ValueError("z_full requires a full-sphere grid")
-    m_count = geom.element_count
     g_theta, g_phi = gain_arrays(geom.element, grid.theta, grid.phi)
     power = (np.abs(g_theta) ** 2 + np.abs(g_phi) ** 2) * grid.weight
     u = phase_argument(grid.theta, grid.phi, orientation)
-    m = np.arange(m_count)
-    phase = np.exp(1j * K * geom.spacing * u[:, None] * m[None, :])
-    raw = (phase * power[:, None]).conj().T @ phase / (4.0 * np.pi)
-    raw = raw.T  # raw[m, n] accumulates e^{+j k u m} e^{-j k u n}
-    z, self_term = _normalize(raw)
+    col = _lag_column(power / (4.0 * np.pi), K * geom.spacing * u,
+                      geom.element_count)
+    z, self_term = _normalize(toeplitz(col))
     return ImpedanceMatrix(values=z, self_power=self_term).validate()
 
 
@@ -112,12 +128,9 @@ def z_hplane(geom, grid):
     """
     if grid.kind != "h_plane":
         raise ValueError("z_hplane requires an H-plane grid")
-    m = np.arange(geom.element_count)
-    u = np.sin(grid.phi)
-    phase = np.exp(1j * K * geom.spacing * u[:, None] * m[None, :])
-    raw = (phase * grid.weight[:, None]).conj().T @ phase / (2.0 * np.pi)
-    raw = raw.T
-    z, _ = _normalize(raw)
+    col = _lag_column(grid.weight / (2.0 * np.pi),
+                      K * geom.spacing * np.sin(grid.phi), geom.element_count)
+    z, _ = _normalize(toeplitz(col))
     return ImpedanceMatrix(values=z, self_power=1.0)
 
 

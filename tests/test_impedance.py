@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import toeplitz
 from scipy.special import j0
 
-from superdir.geometry import ArrayGeometry, hplane_grid, sphere_grid
+from superdir.geometry import (K, ArrayGeometry, gain_arrays, hplane_grid,
+                               phase_argument, sphere_grid)
 from superdir import impedance
 from superdir.impedance import (HALFWAVE_SELF_IMPEDANCE, ImpedanceMatrix,
                                 mutual_impedance_emf, port_impedance_emf,
@@ -36,6 +38,89 @@ def test_quadrature_matches_closed_form():
         z_ref = z_isotropic_closed(geom)
         assert_allclose(z_quad.values, z_ref.values, atol=1e-12)
         assert_allclose(z_quad.self_power, 1.0, rtol=1e-12)
+
+
+def _gram_gemm(u, weight, geom):
+    """Z from the whole P x M phase matrix and an M x M product, every
+    entry summed on its own: the reference for the lag-sum kernel."""
+    m = np.arange(geom.element_count)
+    phase = np.exp(1j * K * geom.spacing * u[:, None] * m[None, :])
+    raw = ((phase * weight[:, None]).conj().T @ phase).T
+    self_term = raw[0, 0].real
+    z = np.real(raw) / self_term
+    z = 0.5 * (z + z.T)
+    np.fill_diagonal(z, 1.0)
+    return z, self_term
+
+
+SPACINGS = np.linspace(0.05, 0.5, 50)
+CASES = (("isotropic", "axial"), ("ideal_dipole", "axial"),
+         ("ideal_dipole", "in_plane"))
+
+
+@pytest.mark.parametrize("n_theta,n_phi", [(32, 64), (64, 128)])
+def test_z_full_matches_gemm_reference(n_theta, n_phi):
+    grid = sphere_grid(n_theta, n_phi)
+    for element, orientation in CASES:
+        g_theta, _ = gain_arrays(element, grid.theta, grid.phi)
+        weight = g_theta ** 2 * grid.weight / (4.0 * np.pi)
+        u = phase_argument(grid.theta, grid.phi, orientation)
+        for m_count in (4, 8, 16):
+            for d in SPACINGS:
+                geom = ArrayGeometry(m_count, float(d), element)
+                z = z_full(geom, grid, orientation)
+                ref, self_term = _gram_gemm(u, weight, geom)
+                assert_allclose(z.values, ref, rtol=0, atol=1e-13)
+                assert_allclose(z.self_power, self_term, rtol=1e-14)
+
+
+def test_z_hplane_matches_gemm_reference():
+    grid = hplane_grid(1.0)
+    for m_count in (4, 8, 16):
+        for d in SPACINGS:
+            geom = ArrayGeometry(m_count, float(d))
+            ref, _ = _gram_gemm(np.sin(grid.phi), grid.weight / (2.0 * np.pi),
+                                geom)
+            assert_allclose(z_hplane(geom, grid).values, ref, rtol=0,
+                            atol=1e-13)
+
+
+def test_z_is_exactly_symmetric_toeplitz_with_unit_diagonal():
+    grid = sphere_grid(32, 64)
+    for element, orientation in CASES:
+        for d in (0.05, 0.23, 0.5):
+            geom = ArrayGeometry(9, d, element)
+            for z in (z_full(geom, grid, orientation).values,
+                      z_hplane(geom, hplane_grid(2.0)).values):
+                assert np.array_equal(z, toeplitz(z[:, 0]))
+                assert np.array_equal(z, z.T)
+                assert np.all(np.diag(z) == 1.0)
+
+
+def _closed_form(element, orientation, geom):
+    """Exact sphere integrals of the three element/orientation pairs,
+    x = k d |m - n|: sinc x; in-plane dipole 3/2 (sin x/x + cos x/x^2 -
+    sin x/x^3); axial dipole 3 (sin x/x^3 - cos x/x^2)."""
+    m = np.arange(geom.element_count)
+    x = K * geom.spacing * np.abs(m[:, None] - m[None, :])
+    s = np.where(x > 0.0, x, 1.0)
+    if element == "isotropic":
+        z = np.sin(s) / s
+    elif orientation == "in_plane":
+        z = 1.5 * (np.sin(s) / s + np.cos(s) / s ** 2 - np.sin(s) / s ** 3)
+    else:
+        z = 3.0 * (np.sin(s) / s ** 3 - np.cos(s) / s ** 2)
+    return np.where(x > 0.0, z, 1.0)
+
+
+def test_z_full_matches_closed_forms():
+    grid = sphere_grid(64, 128)
+    for element, orientation in CASES:
+        for d in SPACINGS:
+            geom = ArrayGeometry(16, float(d), element)
+            assert_allclose(z_full(geom, grid, orientation).values,
+                            _closed_form(element, orientation, geom),
+                            rtol=0, atol=1e-13)
 
 
 def test_dipole_self_power():
