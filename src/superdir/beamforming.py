@@ -64,17 +64,13 @@ def mrt_vector(e):
 
 def traditional_vector(z, e, tikhonov=None):
     """Impedance-aware optimum a = Z^-1 e*, unit-normalized."""
-    e = np.asarray(e, dtype=complex)
-    x, _ = gated_solve(z.values, np.conj(e), tikhonov=tikhonov,
-                       context="impedance matrix")
+    x = z.solve(np.conj(np.asarray(e, dtype=complex)), tikhonov)
     return ExcitationVector(values=x / np.linalg.norm(x), method="traditional")
 
 
 def proposed_vector(c, z, e, tikhonov=None):
     """Double-coupling synthesis b = C^-1 Z^-1 e*, unit-normalized."""
-    e = np.asarray(e, dtype=complex)
-    x, _ = gated_solve(z.values, np.conj(e), tikhonov=tikhonov,
-                       context="impedance matrix")
+    x = z.solve(np.conj(np.asarray(e, dtype=complex)), tikhonov)
     b, _ = gated_solve(_values(c), x, tikhonov=tikhonov,
                        context="coupling matrix")
     return ExcitationVector(values=b / np.linalg.norm(b), method="proposed")
@@ -118,8 +114,7 @@ def directivity_coupled(b, c, e, z):
 def max_directivity(z, e, tikhonov=None):
     """Upper bound e^H Z^-1 e over all excitations."""
     e = np.asarray(e, dtype=complex)
-    x, _ = gated_solve(z.values, e, tikhonov=tikhonov,
-                       context="impedance matrix")
+    x = z.solve(e, tikhonov)
     return float(np.real(np.vdot(e, x)) / z.self_power)
 
 
@@ -224,9 +219,7 @@ def pattern_metrics(power, angles_deg, steer_deg):
                                   angles_deg[0])
     if span > 1e-6:
         raise ValueError("pattern cut must cover the full circle")
-    distances = np.array([_circular_distance_deg(a, steer_deg)
-                          for a in angles_deg])
-    peak_idx = int(np.argmin(distances))
+    peak_idx = int(np.argmin(_circular_distance_deg(angles_deg, steer_deg)))
     peak = power[peak_idx]
     if peak <= 0.0:
         raise ValueError("steer direction has zero power; no main lobe")
@@ -274,21 +267,20 @@ def pattern_metrics(power, angles_deg, steer_deg):
                               beamwidth_defined=beamwidth_defined,
                               psll_defined=False)
 
-    # main-lobe indices, walking right from left_min through the peak
-    inside = set()
-    i = left_min
-    for _ in range(n + 1):
-        inside.add(i)
-        if i == right_min:
-            break
-        i = (i + 1) % n
-    outside = [power[i] for i in range(n) if i not in inside]
-    if not outside:
+    # the main lobe runs right from left_min through the peak to right_min,
+    # across the +-180 degree seam when left_min > right_min
+    index = np.arange(n)
+    if left_min <= right_min:
+        inside = (index >= left_min) & (index <= right_min)
+    else:
+        inside = (index >= left_min) | (index <= right_min)
+    outside = power[~inside]
+    if not outside.size:
         return PatternMetrics(beamwidth_3db_deg=beamwidth,
                               psll_db=float("nan"),
                               beamwidth_defined=beamwidth_defined,
                               psll_defined=False)
-    highest = max(outside)
+    highest = outside.max()
     if highest <= 0.0:
         psll = DELTA_F_FLOOR_DB
     else:
@@ -303,7 +295,7 @@ def eig_crosscheck(z, e, iterations=20, seed=0):
     the closed form e^H Z^-1 e, via power iteration (rank-1 operator).
     """
     e = np.asarray(e, dtype=complex)
-    t, _ = gated_solve(z.values, e, context="impedance matrix")
+    t = z.solve(e)
     oracle = float(np.real(np.vdot(e, t)))
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(len(e)) + 1j * rng.standard_normal(len(e))

@@ -22,7 +22,7 @@ from . import beamforming, coupling, fileio, impedance, surrogate
 from .fileio import ValidationError
 from .geometry import (ArrayGeometry, Direction, hplane_degrees, sphere_grid,
                        steering_matrix, steering_vector)
-from .linalg import ConditionGateError, condition_number
+from .linalg import ConditionGateError
 
 ALL_METHODS = ("mrt", "traditional", "proposed", "theoretical")
 
@@ -175,7 +175,7 @@ def _sweep_rows(config, tikhonov=None):
     spacings = np.linspace(config.d_min, config.d_max, config.steps)
     rows = []
     for geom, z, e, c_true, cut in _arrays(config, spacings):
-        cond_z = condition_number(z.values)
+        cond_z = z.condition
         cond_c = float(c_true.condition)
         d_max = beamforming.max_directivity(z, e, tikhonov=tikhonov)
         for method in config.methods:

@@ -12,13 +12,14 @@ closed form in sine/cosine integrals, and isotropic elements get a
 clearly-labeled synthetic network.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import toeplitz
 from scipy.special import j0, sici
 
 from .geometry import K, gain_arrays, phase_argument
+from .linalg import condition_number, gated_solve
 
 # Half-wave dipole self impedance in ohms, the standard textbook figure.
 HALFWAVE_SELF_IMPEDANCE = 73.08 + 42.21j
@@ -31,10 +32,46 @@ class ImpedanceMatrix:
 
     values: np.ndarray
     self_power: float = 1.0
+    # cond(Z) and the solves made so far.  The memo also keeps a copy of
+    # ``values`` under "matrix"; a change to the matrix, in place or by
+    # assignment, empties it.
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def size(self):
         return self.values.shape[0]
+
+    def _remembered(self, key, compute):
+        z = self.values
+        matrix = (z.shape, z.dtype.str, z.tobytes())
+        if self._memo.get("matrix") != matrix:
+            self._memo = {"matrix": matrix}
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    @property
+    def condition(self):
+        """cond(Z), computed once per matrix."""
+        return self._remembered("condition",
+                                lambda: condition_number(self.values))
+
+    def solve(self, rhs, tikhonov=None):
+        """Z x = rhs through ``linalg.gated_solve`` (same gate, same
+        Tikhonov rule), computed once per (rhs, tikhonov); the returned
+        array is shared and read-only."""
+        rhs = np.asarray(rhs)
+
+        def compute():
+            x, _ = gated_solve(self.values, rhs, tikhonov=tikhonov,
+                               context="impedance matrix",
+                               condition=self.condition)
+            x.setflags(write=False)
+            return x
+
+        key = ("solve", rhs.shape, rhs.dtype.str, rhs.tobytes(), tikhonov)
+        return self._remembered(key, compute)
 
     def validate(self, psd_tol=1e-9):
         z = self.values

@@ -30,15 +30,18 @@ def condition_number(a):
     return float(np.linalg.cond(a))
 
 
-def gated_solve(a, b, tikhonov=None, threshold=CONDITION_GATE, context="matrix"):
+def gated_solve(a, b, tikhonov=None, threshold=CONDITION_GATE, context="matrix",
+                condition=None):
     """Solve a x = b with condition reporting.
 
     Returns (x, condition).  If the condition number exceeds
     ``threshold`` and no ``tikhonov`` epsilon is given, raises
     :class:`ConditionGateError`; with epsilon, solves (a + eps*I) x = b.
+    ``condition``, when given, is ``condition_number(a)`` computed
+    earlier by the caller and stands in for a new one.
     """
     a = np.asarray(a)
-    cond = condition_number(a)
+    cond = condition_number(a) if condition is None else condition
     if not np.isfinite(cond) or cond > threshold:
         if tikhonov is None:
             raise ConditionGateError(cond, threshold, context)

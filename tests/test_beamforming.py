@@ -251,6 +251,99 @@ def test_pattern_metrics_single_lobe():
     assert not metrics.psll_defined
 
 
+def _pattern_metrics_scalar(power, angles_deg, steer_deg):
+    """Point-by-point reference for pattern_metrics: the distance list
+    and the main-lobe set built one index at a time."""
+    n = len(power)
+    step = angles_deg[1] - angles_deg[0]
+    distances = np.array([abs((a - steer_deg + 180.0) % 360.0 - 180.0)
+                          for a in angles_deg])
+    peak_idx = int(np.argmin(distances))
+    peak = power[peak_idx]
+
+    def first_minimum(direction):
+        i = peak_idx
+        for _ in range(n - 1):
+            j = (i + direction) % n
+            if power[j] > power[i]:
+                return i
+            i = j
+        return None
+
+    def half_power_offset(direction):
+        half = 0.5 * peak
+        i = peak_idx
+        offset = 0.0
+        for _ in range(n - 1):
+            j = (i + direction) % n
+            if power[j] < half:
+                return offset + (power[i] - half) / (power[i] - power[j]) * step
+            offset += step
+            i = j
+        return None
+
+    right_min, left_min = first_minimum(+1), first_minimum(-1)
+    right_cross, left_cross = half_power_offset(+1), half_power_offset(-1)
+    if right_cross is None or left_cross is None:
+        beamwidth, beamwidth_defined = 360.0, False
+    else:
+        beamwidth, beamwidth_defined = right_cross + left_cross, True
+    if right_min is None or left_min is None or right_min == left_min:
+        return (beamwidth, float("nan"), beamwidth_defined, False)
+    inside = set()
+    i = left_min
+    for _ in range(n + 1):
+        inside.add(i)
+        if i == right_min:
+            break
+        i = (i + 1) % n
+    outside = [power[i] for i in range(n) if i not in inside]
+    if not outside:
+        return (beamwidth, float("nan"), beamwidth_defined, False)
+    highest = max(outside)
+    psll = DELTA_F_FLOOR_DB if highest <= 0.0 else \
+        float(10.0 * np.log10(highest / peak))
+    return (beamwidth, min(psll, 0.0), beamwidth_defined, True)
+
+
+def _pattern_cases():
+    rng = np.random.default_rng(11)
+    for step in (1.0, 0.5, 2.0):
+        angles = np.rad2deg(hplane_grid(step).phi)
+        for _ in range(40):
+            geom = ArrayGeometry(element_count=int(rng.integers(2, 17)),
+                                 spacing=float(rng.uniform(0.05, 0.6)))
+            a = rng.standard_normal(geom.element_count) + \
+                1j * rng.standard_normal(geom.element_count)
+            cut = steering_matrix(geom, np.full(len(angles), np.pi / 2),
+                                  np.deg2rad(angles), "in_plane")
+            yield np.abs(cut @ a) ** 2, angles, float(rng.uniform(-180, 180))
+        yield rng.random(len(angles)) + 1e-3, angles, 0.0
+    angles = np.arange(-179.0, 181.0)
+    for centre in (180.0, -178.0):
+        # a main lobe across the +-180 degree seam, a sidelobe at 0
+        off = np.abs((angles - centre + 180.0) % 360.0 - 180.0)
+        lobe = np.exp(-0.5 * (off / 9.0) ** 2) + \
+            0.1 * np.exp(-0.5 * (angles / 6.0) ** 2)
+        yield lobe, angles, centre
+    yield np.exp(-0.5 * (angles / 40.0) ** 2), angles, 0.0  # single lobe
+    yield np.full(360, 2.0), angles, 10.0  # flat: no crossing, no minimum
+
+
+def test_pattern_metrics_matches_scalar_walk():
+    count = 0
+    for power, angles, steer in _pattern_cases():
+        m = pattern_metrics(power, angles, steer)
+        got = (m.beamwidth_3db_deg, m.psll_db, m.beamwidth_defined,
+               m.psll_defined)
+        want = _pattern_metrics_scalar(power, angles, steer)
+        assert np.array_equal(np.array(got[:2]), np.array(want[:2]),
+                              equal_nan=True), (steer, got, want)
+        assert got[2:] == want[2:]
+        count += 1
+    assert count == 3 * 41 + 4
+
+
 def test_eig_crosscheck_closed_form():
     _, z, e = _pair()
     assert eig_crosscheck(z, e) < 1e-9

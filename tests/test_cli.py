@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from superdir import cli, fileio
+from superdir import cli, coupling, fileio, impedance, linalg, surrogate
 from superdir.cli import ExperimentConfig
 from superdir.coupling import PatternMeasurement
 from superdir.fileio import ValidationError
@@ -64,6 +64,32 @@ def test_sweep_writes_all_methods(tmp_path):
                       r["spacing_wl"] == row["spacing_wl"]][0]
             assert_allclose(row["directivity"], theory["directivity"],
                             rtol=1e-9)
+
+
+def test_sweep_takes_one_condition_and_two_z_solves_per_spacing(
+        tmp_path, monkeypatch):
+    conditions, z_solves = [], []
+    original_condition = linalg.condition_number
+    original_solve = linalg.gated_solve
+
+    def counted_condition(a):
+        conditions.append(np.isrealobj(a))  # Z is real; C and Z_c are not
+        return original_condition(a)
+
+    def counted_solve(a, b, **kwargs):
+        z_solves.append(kwargs.get("context"))
+        return original_solve(a, b, **kwargs)
+
+    for module in (linalg, impedance, coupling, surrogate):
+        monkeypatch.setattr(module, "condition_number", counted_condition)
+    monkeypatch.setattr(impedance, "gated_solve", counted_solve)
+    config = ExperimentConfig.from_file(_write_config(tmp_path / "c.json"))
+    rows = cli._sweep_rows(config)
+    assert len(rows) == 4 * config.steps
+    assert sum(conditions) == config.steps
+    # Z^-1 e for the bound and Z^-1 e* for traditional, proposed and
+    # theoretical
+    assert z_solves == ["impedance matrix"] * (2 * config.steps)
 
 
 def test_sweep_deterministic_bytes(tmp_path):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.linalg import toeplitz
 from scipy.special import j0
 
 from superdir.geometry import (K, ArrayGeometry, gain_arrays, hplane_grid,
                                phase_argument, sphere_grid)
-from superdir import impedance
+from superdir import impedance, linalg
 from superdir.impedance import (HALFWAVE_SELF_IMPEDANCE, ImpedanceMatrix,
                                 mutual_impedance_emf, port_impedance_emf,
                                 port_impedance_for, port_impedance_synthetic,
@@ -163,6 +164,27 @@ def test_hplane_quadrature_matches_bessel():
 def test_large_spacing_decorrelates():
     geom = ArrayGeometry(element_count=2, spacing=5.0)
     assert abs(z_isotropic_closed(geom).values[0, 1]) < 0.12
+
+
+def test_impedance_matrix_memo_follows_values():
+    z = z_full(ArrayGeometry(4, 0.2), sphere_grid(32, 64))
+    e = np.exp(1j * np.arange(4.0))
+    x = z.solve(e)
+    assert z.solve(e) is x and not x.flags.writeable
+    assert z.condition == np.linalg.cond(z.values)
+    assert np.array_equal(x, scipy.linalg.solve(z.values, e))
+    z.values[0, 1] = z.values[1, 0] = 0.0  # in place
+    assert not np.array_equal(z.solve(e), x)
+    assert np.array_equal(z.solve(e), scipy.linalg.solve(z.values, e))
+    assert z.condition == np.linalg.cond(z.values)
+    z.values = np.eye(4)  # by assignment
+    assert z.condition == 1.0
+    assert np.array_equal(z.solve(e), e)
+    z.values = np.ones((4, 4))  # singular: the gate still applies
+    with pytest.raises(linalg.ConditionGateError):
+        z.solve(e)
+    assert np.array_equal(z.solve(e, tikhonov=1.0),
+                          scipy.linalg.solve(np.ones((4, 4)) + np.eye(4), e))
 
 
 def test_validate_accepts_physical_matrix():
