@@ -52,7 +52,8 @@ def _section(path, doc, name):
 
 
 def _number(path, section, name, key, kind=float):
-    """Finite ``kind`` value of ``section[key]``, else the field default."""
+    """Finite ``kind`` value of ``section[key]``, else the field default;
+    ``kind`` is ``float`` or ``fileio.integer``."""
     try:
         value = kind(section.get(key, getattr(ExperimentConfig, key)))
         if not np.isfinite(value):
@@ -95,7 +96,7 @@ class ExperimentConfig:
         sweep = _section(path, doc, "sweep")
         d_min = _number(path, sweep, "sweep", "d_min")
         d_max = _number(path, sweep, "sweep", "d_max")
-        steps = _number(path, sweep, "sweep", "steps", int)
+        steps = _number(path, sweep, "sweep", "steps", fileio.integer)
         if not d_min < d_max:
             raise ValidationError("%s: sweep needs d_min < d_max" % (path,))
         if steps < 2:
@@ -104,8 +105,8 @@ class ExperimentConfig:
         if not 0.0 < efficiency <= 1.0:
             raise ValidationError("%s: efficiency must lie in (0, 1]" % (path,))
         grid = _section(path, doc, "grid")
-        n_theta = _number(path, grid, "grid", "n_theta", int)
-        n_phi = _number(path, grid, "grid", "n_phi", int)
+        n_theta = _number(path, grid, "grid", "n_theta", fileio.integer)
+        n_phi = _number(path, grid, "grid", "n_phi", fileio.integer)
         for key, value in (("n_theta", n_theta), ("n_phi", n_phi)):
             if value < 2:
                 raise ValidationError("%s: grid.%s must be >= 2, got %d" %
@@ -250,8 +251,12 @@ def cmd_estimate_c(args):
         config = ExperimentConfig.from_file(args.config)
         geom = config.geometry
         isolated, coupled = _read_measurement_sets(args.measurements, geom)
-        es = coupling.fields_from_measurements(isolated, args.amplitude)
-        ec = coupling.fields_from_measurements(coupled, args.amplitude)
+        try:
+            es = coupling.fields_from_measurements(isolated, args.amplitude)
+            ec = coupling.fields_from_measurements(coupled, args.amplitude)
+        except ValueError as exc:
+            raise ValidationError(
+                "%s: %s" % (args.measurements, exc)) from exc
     elif args.es and args.ec:
         es, geom = fileio.read_field_dump(args.es)
         ec, geom_ec = fileio.read_field_dump(args.ec)
@@ -289,11 +294,14 @@ def cmd_ingest(args):
     config = ExperimentConfig.from_file(args.config)
     geom = config.geometry
     isolated, coupled = _read_measurement_sets(args.measurements, geom)
-    amplitude, phases, es = coupling.power_patterns_from(isolated,
-                                                         args.amplitude)
-    z = impedance.z_from_measurements(amplitude, phases)
-    ec = coupling.fields_from_measurements(coupled, args.amplitude)
-    c = coupling.estimate_c_full(es, ec)
+    try:
+        amplitude, phases, es = coupling.power_patterns_from(isolated,
+                                                             args.amplitude)
+        z = impedance.z_from_measurements(amplitude, phases)
+        ec = coupling.fields_from_measurements(coupled, args.amplitude)
+        c = coupling.estimate_c_full(es, ec)
+    except ValueError as exc:
+        raise ValidationError("%s: %s" % (args.measurements, exc)) from exc
     fileio.write_z_json(args.out + "_z.json", z)
     fileio.write_c_json(args.out + "_c.json", c)
     return 0

@@ -196,6 +196,16 @@ def fields_from_measurements(measurements, amplitude_kind="power"):
                 np.max(np.abs(meas.phi_deg - phi_deg)) > 1e-9:
             raise ValueError("measurements use inconsistent phi grids")
     n = len(phi_deg)
+    # Every point gets the weight 2 pi / n, which holds only on a grid
+    # that ascends in equal steps around the whole circle.
+    gaps = np.diff(phi_deg, append=phi_deg[0] + 360.0)
+    bad = np.abs(gaps - 360.0 / n) > 1e-9
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(
+            "phi grid must ascend in equal steps of 360/%d = %.17g deg "
+            "around the circle; the step after phi_deg = %.17g is %.17g" %
+            (n, 360.0 / n, phi_deg[i], gaps[i]))
     grid = AngularGrid(theta=np.full(n, np.pi / 2),
                        phi=np.deg2rad(phi_deg),
                        weight=np.full(n, 2.0 * np.pi / n),

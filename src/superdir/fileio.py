@@ -23,10 +23,25 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def integer(value):
+    """``value`` as an int when it is a JSON number with no fractional
+    part (4 or 4.0); booleans, strings and fractions raise ValueError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError("must be an integer, got %r" % (value,))
+
+
 def geometry_from_dict(doc, context="config"):
     """Build (ArrayGeometry, steer Direction) from the geometry JSON."""
     try:
-        geom = ArrayGeometry(element_count=int(doc["elements"]),
+        elements = integer(doc.get("elements"))
+    except ValueError as exc:
+        raise ValidationError(
+            "%s: geometry.elements: %s" % (context, exc)) from exc
+    try:
+        geom = ArrayGeometry(element_count=elements,
                              spacing=float(doc["spacing_wl"]),
                              element=str(doc.get("element", "isotropic")))
         steer = Direction(theta=np.deg2rad(float(doc.get("steer_theta_deg", 0.0))),
@@ -155,7 +170,8 @@ def _grid_from_params(params, context):
     try:
         kind = params["kind"]
         if kind == "full_sphere":
-            return sphere_grid(int(params["n_theta"]), int(params["n_phi"]))
+            return sphere_grid(integer(params["n_theta"]),
+                               integer(params["n_phi"]))
         if kind == "h_plane":
             return hplane_grid(float(params["step_deg"]))
     except (KeyError, TypeError, ValueError) as exc:
@@ -251,17 +267,26 @@ def write_sweep_csv(path, rows):
 
 
 def read_sweep_csv(path):
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != SWEEP_COLUMNS:
-            raise ValidationError("%s:1: bad sweep header" % (path,))
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(SWEEP_COLUMNS):
-                raise ValidationError("%s:%d: wrong column count" % (path, lineno))
+    """Rows of a sweep CSV as dicts; ``nan`` cells are legal (``psll_db``
+    of a single-lobe cut).  Errors raise ValidationError naming
+    ``path:line``, or ``path`` for a file that cannot be read."""
+    try:
+        with open(path, newline="") as handle:
+            table = list(csv.reader(handle))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError("%s: %s" % (path, exc)) from exc
+    if not table or table[0] != SWEEP_COLUMNS:
+        raise ValidationError("%s:1: bad sweep header" % (path,))
+    rows = []
+    for lineno, row in enumerate(table[1:], start=2):
+        if len(row) != len(SWEEP_COLUMNS):
+            raise ValidationError("%s:%d: wrong column count" % (path, lineno))
+        try:
             rows.append({col: value if col == "method" else float(value)
                          for col, value in zip(SWEEP_COLUMNS, row)})
+        except ValueError:
+            raise ValidationError(
+                "%s:%d: non-numeric value" % (path, lineno)) from None
     return rows
 
 

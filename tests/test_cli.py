@@ -164,6 +164,36 @@ def test_h_plane_step_deg(tmp_path, capsys):
             assert "Traceback" not in err
 
 
+def test_config_integers_must_be_integral(tmp_path, capsys):
+    geometry = {"spacing_wl": 0.3, "element": "isotropic"}
+    config = _write_config(tmp_path / "whole.json",
+                           geometry=dict(geometry, elements=4.0),
+                           sweep={"d_min": 0.2, "d_max": 0.5, "steps": 4.0},
+                           grid={"n_theta": 32.0, "n_phi": 64})
+    loaded = ExperimentConfig.from_file(config)
+    assert (loaded.geometry.element_count, loaded.steps, loaded.n_theta) == \
+        (4, 4, 32)
+    assert isinstance(loaded.steps, int) and isinstance(loaded.n_theta, int)
+    cases = [({"geometry": dict(geometry, elements=value)},
+              "geometry.elements: must be an integer, got %r" % (value,))
+             for value in (4.7, True, "4")]
+    cases += [({"sweep": {"steps": value}},
+               "sweep.steps: must be an integer, got %r" % (value,))
+              for value in (3.7, True)]
+    cases += [({"grid": {key: value}},
+               "grid.%s: must be an integer, got %r" % (key, value))
+              for key, value in (("n_theta", 64.5), ("n_phi", False))]
+    capsys.readouterr()
+    for number, (overrides, message) in enumerate(cases):
+        config = _write_config(tmp_path / ("bad%d.json" % number),
+                               **overrides)
+        assert cli.main(["sweep", "--config", config,
+                         "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
 def _dump_surrogate(tmp_path, m_count=4, spacing=0.3):
     geom = ArrayGeometry(element_count=m_count, spacing=spacing,
                          element="ideal_dipole")
@@ -277,6 +307,26 @@ def test_non_finite_inputs_exit_1(tmp_path, capsys, cell):
         err = capsys.readouterr().err
         assert where + ": non-finite value" in err
         assert "Traceback" not in err
+
+
+def test_measurement_phi_grid_must_be_uniform(tmp_path, capsys):
+    geom, _, es, ec, _ = _dump_surrogate(tmp_path)
+    directory = _write_measurements(tmp_path, geom, es, ec)
+    config = _write_config(tmp_path / "config.json",
+                           geometry=fileio.geometry_to_dict(geom))
+    for path in directory.iterdir():  # every file loses phi = -170 deg
+        lines = path.read_text().splitlines()
+        del lines[10]
+        path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    for argv in (["ingest", "--out", str(tmp_path / "run")],
+                 ["estimate-c", "--out", str(tmp_path / "c.json")]):
+        assert cli.main(argv + ["--measurements", str(directory),
+                                "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert "%s: phi grid must ascend in equal steps" % (directory,) in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "run_z.json").exists()
 
 
 def test_ingest_rejects_incomplete_set(tmp_path):

@@ -180,8 +180,8 @@ def test_fields_from_measurements_field_amplitude_kind():
 
 
 def test_fields_from_measurements_grid_consistency():
-    phi = np.array([-90.0, 0.0, 90.0])
-    other = np.array([-90.0, 10.0, 90.0])
+    phi = np.array([-60.0, 60.0, 180.0])
+    other = np.array([-60.0, 70.0, 180.0])
     meas = [PatternMeasurement(phi_deg=phi, amplitude=np.ones(3),
                                phase_deg=np.zeros(3), antenna_index=0),
             PatternMeasurement(phi_deg=other, amplitude=np.ones(3),
@@ -190,6 +190,30 @@ def test_fields_from_measurements_grid_consistency():
         fields_from_measurements(meas)
     with pytest.raises(ValueError):
         fields_from_measurements([])
+
+
+def test_fields_from_measurements_needs_uniform_circle():
+    def fields(phi):
+        return fields_from_measurements([PatternMeasurement(
+            phi_deg=phi, amplitude=np.ones(len(phi)),
+            phase_deg=np.zeros(len(phi)))])
+
+    phi = np.rad2deg(hplane_grid(1.0).phi)
+    assert fields(phi).grid.size == 360
+    assert fields(np.arange(0.0, 360.0)).grid.size == 360
+    jitter = np.zeros(360)
+    jitter[100] = 5e-10
+    assert fields(phi + jitter).grid.size == 360
+    for bad, message in (
+            # a dropped row: 359 points cannot step by 1 deg around 360
+            (np.delete(phi, 10), "360/359 = 1.0027855153203342 deg around "
+             "the circle; the step after phi_deg = -179 is 1$"),
+            (phi + 100.0 * jitter, "after phi_deg = -80 is 1.0000000499"),
+            (phi[::-1], "after phi_deg = 180 is -1$"),
+            (phi[:180], "360/180 = 2 deg .* after phi_deg = -179 is 1$"),
+            (np.array([-90.0, 0.0, 90.0]), "after phi_deg = -90 is 90$")):
+        with pytest.raises(ValueError, match=message):
+            fields(bad)
 
 
 def test_power_patterns_from_shares_envelope():

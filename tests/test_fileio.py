@@ -28,6 +28,27 @@ def test_geometry_from_dict_errors():
         fileio.geometry_from_dict({"spacing_wl": 0.3})
     with pytest.raises(ValidationError):
         fileio.geometry_from_dict({"elements": 2, "spacing_wl": -1.0})
+    for elements in (4.7, True, "4", None):
+        with pytest.raises(ValidationError, match="geometry.elements: must "
+                           "be an integer, got %r" % (elements,)):
+            fileio.geometry_from_dict({"elements": elements,
+                                       "spacing_wl": 0.3})
+    geom, _ = fileio.geometry_from_dict({"elements": 4.0, "spacing_wl": 0.3})
+    assert geom.element_count == 4 and isinstance(geom.element_count, int)
+
+
+def test_field_dump_manifest_grid_needs_integers(tmp_path):
+    geom = ArrayGeometry(element_count=2, spacing=0.3)
+    root = tmp_path / "dump"
+    manifest = fileio.write_field_dump(
+        root, isolated_fields(geom, hplane_grid(2.0)), geom,
+        {"kind": "h_plane", "step_deg": 2.0})
+    doc = json.loads(open(manifest).read())
+    doc["grid"] = {"kind": "full_sphere", "n_theta": 64.5, "n_phi": 128}
+    with open(manifest, "w") as handle:
+        json.dump(doc, handle)
+    with pytest.raises(ValidationError, match="must be an integer, got 64.5"):
+        fileio.read_field_dump(manifest)
 
 
 def test_measurement_csv_roundtrip(tmp_path):
@@ -211,6 +232,22 @@ def test_sweep_csv_roundtrip(tmp_path):
     with pytest.raises(ValidationError):
         path.write_text("wrong,header\n")
         fileio.read_sweep_csv(path)
+
+
+def test_sweep_csv_errors_name_path_and_line(tmp_path):
+    path = tmp_path / "sweep.csv"
+    header = ",".join(fileio.SWEEP_COLUMNS)
+    row = "0.1,mrt,%s,3,30,nan,0.5,-20,100,5"
+    path.write_text("\r\n".join([header, row % "3.25", row % "x"]) + "\r\n")
+    with pytest.raises(ValidationError,
+                       match="^%s:3: non-numeric value$" % (path,)):
+        fileio.read_sweep_csv(path)
+    path.write_text("\r\n".join([header, row % "3.25"]) + "\r\n")
+    (back,) = fileio.read_sweep_csv(path)  # nan is a legal psll_db
+    assert np.isnan(back["psll_db"]) and back["directivity"] == 3.25
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(ValidationError, match="^%s: " % (missing,)):
+        fileio.read_sweep_csv(missing)
 
 
 def test_pattern_csv_roundtrip(tmp_path):
