@@ -37,7 +37,7 @@ def geometry_from_dict(doc, context="config"):
     """Build (ArrayGeometry, steer Direction) from the geometry JSON."""
     try:
         elements = integer(doc.get("elements"))
-    except ValueError as exc:
+    except (AttributeError, ValueError) as exc:
         raise ValidationError(
             "%s: geometry.elements: %s" % (context, exc)) from exc
     try:

@@ -130,9 +130,9 @@ def z_full(geom, grid, orientation="axial"):
     z_mn = (1/4pi) integral |g|^2 exp(j k r.(r_m - r_n)) dS, scaled so
     the diagonal is 1.  ``orientation`` selects whether element
     displacements run along the pattern's polar axis or in the
-    theta = pi/2 plane (the measurement configuration).  The integral is
-    real (its sine part is odd in m - n) and depends on m - n only, so it
-    is summed once per lag and filled in by ``toeplitz``.
+    theta = pi/2 plane (the measurement configuration).  Z keeps the
+    integral's real (cosine) part, which depends on m - n only, so it is
+    summed once per lag and filled in by ``toeplitz``.
     """
     if grid.kind != "full_sphere":
         raise ValueError("z_full requires a full-sphere grid")

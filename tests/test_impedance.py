@@ -183,8 +183,10 @@ def test_impedance_matrix_memo_follows_values():
     z.values = np.ones((4, 4))  # singular: the gate still applies
     with pytest.raises(linalg.ConditionGateError):
         z.solve(e)
-    assert np.array_equal(z.solve(e, tikhonov=1.0),
-                          scipy.linalg.solve(np.ones((4, 4)) + np.eye(4), e))
+    for eps in (1.0, 2.0):
+        assert np.array_equal(
+            z.solve(e, tikhonov=eps),
+            scipy.linalg.solve(np.ones((4, 4)) + eps * np.eye(4), e))
 
 
 def test_validate_accepts_physical_matrix():
