@@ -6,10 +6,9 @@ from sampled far fields, and synthesizes excitations that keep the
 theoretical directivity bound under both couplings.
 """
 
-from .beamforming import (ExcitationVector, PatternMetrics, delta_d, delta_f,
-                          delta_f_from_patterns, directivity,
-                          directivity_coupled, eig_crosscheck, gain,
-                          loss_resistance, max_directivity, mrt_vector,
+from .beamforming import (PatternMetrics, delta_d, delta_f_from_patterns,
+                          directivity, directivity_coupled, eig_crosscheck,
+                          gain, loss_resistance, max_directivity, mrt_vector,
                           pattern_metrics, power_decomposition,
                           proposed_vector, traditional_vector)
 from .coupling import (CouplingMatrix, FieldMatrix, PatternMeasurement,
@@ -24,24 +23,24 @@ from .impedance import (ImpedanceMatrix, PortImpedanceMatrix,
                         z_hplane, z_isotropic_closed)
 from .linalg import ConditionGateError, condition_number, gated_solve
 from .surrogate import (TerminationSpec, coupled_fields, coupling_truth,
-                        isolated_fields, radiated_pattern)
+                        isolated_fields)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AngularGrid", "ArrayGeometry", "ConditionGateError", "CouplingMatrix",
-    "Direction", "ExcitationVector", "FieldMatrix", "ImpedanceMatrix",
-    "PatternMeasurement", "PatternMetrics", "PortImpedanceMatrix",
+    "Direction", "FieldMatrix", "ImpedanceMatrix", "PatternMeasurement",
+    "PatternMetrics", "PortImpedanceMatrix",
     "TerminationSpec", "column_symmetry_residual", "condition_number",
     "coupled_fields", "coupling_truth", "default_reduced_angles", "delta_d",
-    "delta_f", "delta_f_from_patterns", "directivity", "directivity_coupled",
+    "delta_f_from_patterns", "directivity", "directivity_coupled",
     "eig_crosscheck", "estimate_c_full", "estimate_c_reduced",
     "fields_from_measurements",
     "gain", "gated_solve", "hplane_grid", "isolated_fields",
     "loss_resistance", "max_directivity", "minimum_angles", "mrt_vector",
     "mutual_impedance_emf", "pattern_metrics", "port_impedance_emf",
     "port_impedance_for", "power_decomposition", "proposed_vector",
-    "radiated_pattern", "sphere_grid", "steering_matrix", "steering_vector",
+    "sphere_grid", "steering_matrix", "steering_vector",
     "traditional_vector", "z_from_measurements", "z_full", "z_hplane",
     "z_isotropic_closed",
 ]

@@ -215,7 +215,7 @@ def criterion_5(tamper=False):
     db = []
     for c_used in (c_full, c_red):
         b = beamforming.proposed_vector(c_used, z, e)
-        power = np.abs(cut @ (c_true.values @ b.values)) ** 2
+        power = np.abs(cut @ (c_true.values @ b)) ** 2
         db.append(10.0 * np.log10(power / power.max()))
     gap_db = float(np.max(np.abs(db[0] - db[1])))
     worst = max(worst, gap_db / 0.1)

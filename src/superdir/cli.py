@@ -188,8 +188,8 @@ def _sweep_rows(config, tikhonov=None):
                 direct = beamforming.directivity_coupled(a, c_eval, e, z)
             g = beamforming.gain(a, c_eval, e, z, r_loss)
             dd = beamforming.delta_d(a, c_eval, e, z)
-            field_th = cut @ a.values
-            field_ac = cut @ (c_eval.values @ a.values)
+            field_th = cut @ a
+            field_ac = cut @ (c_eval.values @ a)
             df = beamforming.delta_f_from_patterns(field_th, field_ac)
             power = np.abs(field_ac) ** 2
             metrics = beamforming.pattern_metrics(power, psi_deg, steer_deg)
@@ -217,7 +217,7 @@ def cmd_pattern(args):
     for method in config.methods:
         a, c_eval = beamforming.synthesize(method, z, e, c_true,
                                            tikhonov=args.regularize)
-        power = np.abs(cut @ (c_eval.values @ a.values)) ** 2
+        power = np.abs(cut @ (c_eval.values @ a)) ** 2
         peak = power.max()
         if peak <= 0.0:
             raise ValidationError("all-zero pattern for method %s" % (method,))

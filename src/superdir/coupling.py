@@ -33,10 +33,6 @@ class FieldMatrix:
             raise ValueError("field matrix needs 2 rows per grid point")
 
     @property
-    def point_count(self):
-        return self.grid.size
-
-    @property
     def element_count(self):
         return self.values.shape[1]
 

@@ -51,14 +51,10 @@ def geometry_from_dict(doc, context="config"):
     return geom, steer
 
 
-def geometry_to_dict(geom, steer=None):
-    doc = {"elements": geom.element_count,
-           "spacing_wl": geom.spacing,
-           "element": geom.element}
-    if steer is not None:
-        doc["steer_theta_deg"] = float(np.rad2deg(steer.theta))
-        doc["steer_phi_deg"] = float(np.rad2deg(steer.phi))
-    return doc
+def geometry_to_dict(geom):
+    return {"elements": geom.element_count,
+            "spacing_wl": geom.spacing,
+            "element": geom.element}
 
 
 MEASUREMENT_COLUMNS = ["phi_deg", "amplitude", "phase_deg"]

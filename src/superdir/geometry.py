@@ -26,7 +26,6 @@ class ArrayGeometry:
     element_count: int
     spacing: float
     element: str = "isotropic"
-    dipole_length: float = 0.5
 
     def __post_init__(self):
         if self.element_count < 1:
@@ -35,8 +34,6 @@ class ArrayGeometry:
             raise ValueError("spacing must be positive")
         if self.element not in ELEMENT_KINDS:
             raise ValueError("unknown element kind %r" % (self.element,))
-        if not self.dipole_length > 0.0:
-            raise ValueError("dipole_length must be positive")
 
 
 @dataclass(frozen=True)

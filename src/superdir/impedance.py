@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import toeplitz
-from scipy.special import j0, sici
+from scipy.special import sici
 
 from .geometry import K, gain_arrays, phase_argument
 from .linalg import condition_number, gated_solve
@@ -73,13 +73,13 @@ class ImpedanceMatrix:
         key = ("solve", rhs.shape, rhs.dtype.str, rhs.tobytes(), tikhonov)
         return self._remembered(key, compute)
 
-    def validate(self, psd_tol=1e-9):
+    def validate(self):
         z = self.values
         if not np.allclose(z, z.T, atol=1e-12):
             raise ValueError("impedance matrix must be symmetric")
         if not np.allclose(np.diag(z), 1.0, atol=1e-12):
             raise ValueError("normalized impedance matrix needs a unit diagonal")
-        if np.linalg.eigvalsh(z).min() < -psd_tol:
+        if np.linalg.eigvalsh(z).min() < -1e-9:
             raise ValueError("impedance matrix is not positive semi-definite")
         return self
 
@@ -171,13 +171,6 @@ def z_hplane(geom, grid):
     return ImpedanceMatrix(values=z, self_power=1.0)
 
 
-def z_hplane_closed(geom):
-    """Bessel oracle for the H-plane matrix: J0(k d |m-n|)."""
-    m = np.arange(geom.element_count)
-    x = K * geom.spacing * np.abs(m[:, None] - m[None, :])
-    return ImpedanceMatrix(values=j0(x), self_power=1.0)
-
-
 def z_from_measurements(amplitude, phases):
     """Impedance matrix from measured H-plane patterns.
 
@@ -207,14 +200,13 @@ def z_from_measurements(amplitude, phases):
     return ImpedanceMatrix(values=z, self_power=1.0)
 
 
-def mutual_impedance_emf(d, half_length=0.25):
+def mutual_impedance_emf(d):
     """Induced-EMF mutual impedance of parallel side-by-side dipoles.
 
     Classical closed form in sine/cosine integrals for two thin
-    half-wave dipoles separated by d wavelengths.  ``half_length`` is
-    the dipole half length in wavelengths (0.25 for half-wave).
+    half-wave dipoles separated by d wavelengths.
     """
-    length = 2.0 * half_length
+    length = 0.5
     u0 = K * d
     root = np.sqrt(d * d + length * length)
     u1 = K * (root + length)
@@ -237,14 +229,11 @@ def port_impedance_emf(geom):
     """
     if geom.element != "ideal_dipole":
         raise ValueError("induced-EMF network requires ideal_dipole elements")
-    if abs(geom.dipole_length - 0.5) > 1e-12:
-        raise ValueError("induced-EMF network requires dipole_length = 0.5")
     # Z_c depends only on |i - j|: one vectorized call for the M - 1 lags.
     # toeplitz(col) alone would conjugate the row into a Hermitian matrix.
     col = np.empty(geom.element_count, dtype=complex)
     col[0] = HALFWAVE_SELF_IMPEDANCE
-    col[1:] = mutual_impedance_emf(geom.spacing * np.arange(1, len(col)),
-                                   half_length=geom.dipole_length / 2.0)
+    col[1:] = mutual_impedance_emf(geom.spacing * np.arange(1, len(col)))
     zc = toeplitz(col, col)
     return PortImpedanceMatrix(values=zc, self_impedance=HALFWAVE_SELF_IMPEDANCE)
 

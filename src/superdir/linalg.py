@@ -30,21 +30,20 @@ def condition_number(a):
     return float(np.linalg.cond(a))
 
 
-def gated_solve(a, b, tikhonov=None, threshold=CONDITION_GATE, context="matrix",
-                condition=None):
+def gated_solve(a, b, tikhonov=None, context="matrix", condition=None):
     """Solve a x = b with condition reporting.
 
     Returns (x, condition).  If the condition number exceeds
-    ``threshold`` and no ``tikhonov`` epsilon is given, raises
+    ``CONDITION_GATE`` and no ``tikhonov`` epsilon is given, raises
     :class:`ConditionGateError`; with epsilon, solves (a + eps*I) x = b.
     ``condition``, when given, is ``condition_number(a)`` computed
     earlier by the caller and stands in for a new one.
     """
     a = np.asarray(a)
     cond = condition_number(a) if condition is None else condition
-    if not np.isfinite(cond) or cond > threshold:
+    if not np.isfinite(cond) or cond > CONDITION_GATE:
         if tikhonov is None:
-            raise ConditionGateError(cond, threshold, context)
+            raise ConditionGateError(cond, CONDITION_GATE, context)
         a = a + tikhonov * np.eye(a.shape[0], dtype=a.dtype)
     x = scipy.linalg.solve(a, b)
     return x, cond

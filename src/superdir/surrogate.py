@@ -39,11 +39,11 @@ class TerminationSpec:
         return self.load
 
 
-def isolated_fields(geom, grid, orientation=None):
-    """E_s: each column is one isolated element sampled over the grid."""
-    if orientation is None:
-        orientation = default_orientation(grid.kind)
-    e_theta = steering_matrix(geom, grid.theta, grid.phi, orientation)
+def isolated_fields(geom, grid):
+    """E_s: each column is one isolated element sampled over the grid,
+    in the grid kind's default orientation."""
+    e_theta = steering_matrix(geom, grid.theta, grid.phi,
+                              default_orientation(grid.kind))
     values = np.zeros((2 * grid.size, geom.element_count), dtype=complex)
     values[0::2] = e_theta
     return FieldMatrix(values=values, grid=grid)
@@ -67,26 +67,10 @@ def coupling_truth(zc, term=TerminationSpec()):
     return CouplingMatrix(values=c, condition=condition_number(c))
 
 
-def coupled_fields(geom, grid, zc, term=TerminationSpec(), orientation=None):
+def coupled_fields(geom, grid, zc, term=TerminationSpec()):
     """E_c = E_s C_true, exactly, and C_true from ``coupling_truth``."""
     if zc.size != geom.element_count:
         raise ValueError("port network size does not match the geometry")
     c_true = coupling_truth(zc, term)
-    es = isolated_fields(geom, grid, orientation)
+    es = isolated_fields(geom, grid)
     return FieldMatrix(values=es.values @ c_true.values, grid=grid), c_true
-
-
-def radiated_pattern(excitation, c, geom, grid, orientation=None):
-    """Complex field per interleaved row for an excitation through C.
-
-    Evaluates E_s (C a) on the grid; with C = I this is the uncoupled
-    pattern function.
-    """
-    a = np.asarray(getattr(excitation, "values", excitation), dtype=complex)
-    c_values = np.asarray(getattr(c, "values", c), dtype=complex)
-    if c_values.shape != (geom.element_count, geom.element_count):
-        raise ValueError("coupling matrix size does not match the geometry")
-    if a.shape != (geom.element_count,):
-        raise ValueError("excitation length does not match the geometry")
-    es = isolated_fields(geom, grid, orientation)
-    return es.values @ (c_values @ a)

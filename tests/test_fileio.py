@@ -16,7 +16,8 @@ def test_geometry_dict_roundtrip():
     geom = ArrayGeometry(element_count=4, spacing=0.3,
                          element="ideal_dipole")
     steer = Direction(theta=np.pi / 2, phi=np.pi / 4)
-    doc = fileio.geometry_to_dict(geom, steer)
+    doc = dict(fileio.geometry_to_dict(geom), steer_theta_deg=90.0,
+               steer_phi_deg=45.0)
     geom2, steer2 = fileio.geometry_from_dict(doc)
     assert geom2 == geom
     assert_allclose(steer2.theta, steer.theta, rtol=1e-12)

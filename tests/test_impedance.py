@@ -12,7 +12,14 @@ from superdir.impedance import (HALFWAVE_SELF_IMPEDANCE, ImpedanceMatrix,
                                 mutual_impedance_emf, port_impedance_emf,
                                 port_impedance_for, port_impedance_synthetic,
                                 z_from_measurements, z_full, z_hplane,
-                                z_hplane_closed, z_isotropic_closed)
+                                z_isotropic_closed)
+
+
+def z_hplane_closed(geom):
+    """Bessel oracle for the H-plane matrix: J0(k d |m-n|)."""
+    m = np.arange(geom.element_count)
+    x = K * geom.spacing * np.abs(m[:, None] - m[None, :])
+    return ImpedanceMatrix(values=j0(x), self_power=1.0)
 
 
 def test_isotropic_closed_form():
