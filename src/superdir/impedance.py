@@ -13,6 +13,7 @@ clearly-labeled synthetic network.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -26,52 +27,47 @@ HALFWAVE_SELF_IMPEDANCE = 73.08 + 42.21j
 FREE_SPACE_ETA = 376.730313668
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImpedanceMatrix:
-    """Real normalized impedance coupling matrix with unit diagonal."""
+    """Real normalized impedance coupling matrix with unit diagonal.
+
+    Immutable: ``values`` is a read-only copy of the matrix given, so
+    cond(Z) and each solve are computed once and never go stale.
+    """
 
     values: np.ndarray
     self_power: float = 1.0
-    # cond(Z) and the solves made so far.  The memo also keeps a copy of
-    # ``values`` under "matrix"; a change to the matrix, in place or by
-    # assignment, empties it.
-    _memo: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
+    # The solves made so far, keyed on (rhs, tikhonov).
+    _solves: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
+
+    def __post_init__(self):
+        values = np.array(self.values)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @property
     def size(self):
         return self.values.shape[0]
 
-    def _remembered(self, key, compute):
-        z = self.values
-        matrix = (z.shape, z.dtype.str, z.tobytes())
-        if self._memo.get("matrix") != matrix:
-            self._memo = {"matrix": matrix}
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
-
-    @property
+    @cached_property
     def condition(self):
         """cond(Z), computed once per matrix."""
-        return self._remembered("condition",
-                                lambda: condition_number(self.values))
+        return condition_number(self.values)
 
     def solve(self, rhs, tikhonov=None):
         """Z x = rhs through ``linalg.gated_solve`` (same gate, same
         Tikhonov rule), computed once per (rhs, tikhonov); the returned
         array is shared and read-only."""
         rhs = np.asarray(rhs)
-
-        def compute():
+        key = (rhs.shape, rhs.dtype.str, rhs.tobytes(), tikhonov)
+        if key not in self._solves:
             x, _ = gated_solve(self.values, rhs, tikhonov=tikhonov,
                                context="impedance matrix",
                                condition=self.condition)
             x.setflags(write=False)
-            return x
-
-        key = ("solve", rhs.shape, rhs.dtype.str, rhs.tobytes(), tikhonov)
-        return self._remembered(key, compute)
+            self._solves[key] = x
+        return self._solves[key]
 
     def validate(self):
         z = self.values

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -173,26 +175,29 @@ def test_large_spacing_decorrelates():
     assert abs(z_isotropic_closed(geom).values[0, 1]) < 0.12
 
 
-def test_impedance_matrix_memo_follows_values():
+def test_impedance_matrix_is_read_only():
     z = z_full(ArrayGeometry(4, 0.2), sphere_grid(32, 64))
     e = np.exp(1j * np.arange(4.0))
     x = z.solve(e)
-    assert z.solve(e) is x and not x.flags.writeable
+    assert z.solve(e) is x
+    with pytest.raises(ValueError):  # the shared solve
+        x[0] = 0.0
     assert z.condition == np.linalg.cond(z.values)
     assert np.array_equal(x, scipy.linalg.solve(z.values, e))
-    z.values[0, 1] = z.values[1, 0] = 0.0  # in place
-    assert not np.array_equal(z.solve(e), x)
-    assert np.array_equal(z.solve(e), scipy.linalg.solve(z.values, e))
-    assert z.condition == np.linalg.cond(z.values)
-    z.values = np.eye(4)  # by assignment
-    assert z.condition == 1.0
-    assert np.array_equal(z.solve(e), e)
-    z.values = np.ones((4, 4))  # singular: the gate still applies
+    with pytest.raises(ValueError):  # in place
+        z.values[0, 1] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):  # by assignment
+        z.values = np.eye(4)
+    raw = np.eye(4)
+    copied = ImpedanceMatrix(values=raw)
+    raw[0, 1] = 0.5  # the caller's array is not shared
+    assert copied.values[0, 1] == 0.0 and copied.condition == 1.0
+    singular = ImpedanceMatrix(values=np.ones((4, 4)))  # the gate applies
     with pytest.raises(linalg.ConditionGateError):
-        z.solve(e)
+        singular.solve(e)
     for eps in (1.0, 2.0):
         assert np.array_equal(
-            z.solve(e, tikhonov=eps),
+            singular.solve(e, tikhonov=eps),
             scipy.linalg.solve(np.ones((4, 4)) + eps * np.eye(4), e))
 
 
