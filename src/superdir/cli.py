@@ -51,17 +51,11 @@ def _section(path, doc, name):
     return section
 
 
-def _number(path, section, name, key, kind=float):
-    """Finite ``kind`` value of ``section[key]``, else the field default;
-    ``kind`` is ``float`` or ``fileio.integer``."""
-    try:
-        value = kind(section.get(key, getattr(ExperimentConfig, key)))
-        if not np.isfinite(value):
-            raise ValueError("must be finite, got %r" % (value,))
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ValidationError("%s: %s: %s" % (
-            path, ".".join(filter(None, (name, key))), exc)) from exc
-    return value
+def _number(path, section, name, key, kind=fileio.number):
+    """``kind`` value of ``section[key]``, else the field default;
+    ``kind`` is ``fileio.number`` or ``fileio.integer``."""
+    return fileio.read_value(section, ".".join(filter(None, (name, key))),
+                             kind, path, getattr(ExperimentConfig, key))
 
 
 @dataclass

@@ -195,9 +195,12 @@ def fields_from_measurements(measurements, amplitude_kind="power"):
     # Every point gets the weight 2 pi / n, which holds only on a grid
     # that ascends in equal steps around the whole circle.
     gaps = np.diff(phi_deg, append=phi_deg[0] + 360.0)
-    bad = np.abs(gaps - 360.0 / n) > 1e-9
-    if bad.any():
-        i = int(bad.argmax())
+    deviation = np.abs(gaps - 360.0 / n)
+    if deviation.max() > 1e-9:
+        # Name the worst step, not the first: with a row dropped, 360/n no
+        # longer equals the grid's step, so every step is a little off and
+        # only the one across the gap is off by a whole step.
+        i = int(deviation.argmax())
         raise ValueError(
             "phi grid must ascend in equal steps of 360/%d = %.17g deg "
             "around the circle; the step after phi_deg = %.17g is %.17g" %

@@ -33,20 +33,40 @@ def integer(value):
     raise ValueError("must be an integer, got %r" % (value,))
 
 
+def number(value):
+    """``value`` as a float when it is a finite JSON number; booleans,
+    strings, null and non-finite values raise ValueError (an integer
+    too large for a float, OverflowError)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and np.isfinite(float(value)):
+        return float(value)
+    raise ValueError("must be a finite number, got %r" % (value,))
+
+
+def read_value(doc, key, read, context, default=None):
+    """``read(doc[name])``, or ``read(default)`` when ``name`` is absent,
+    where ``name`` is the last part of the dotted ``key`` (``sweep.d_min``
+    reads ``d_min`` from the sweep section ``doc``).  ``read`` is
+    ``number`` or ``integer``; a rejected value raises ValidationError
+    naming ``context: key``."""
+    try:
+        return read(doc.get(key.rpartition(".")[2], default))
+    except (AttributeError, OverflowError, ValueError) as exc:
+        raise ValidationError("%s: %s: %s" % (context, key, exc)) from exc
+
+
 def geometry_from_dict(doc, context="config"):
     """Build (ArrayGeometry, steer Direction) from the geometry JSON."""
+    elements = read_value(doc, "geometry.elements", integer, context)
+    spacing = read_value(doc, "geometry.spacing_wl", number, context)
+    steer_deg = [read_value(doc, "geometry.steer_%s_deg" % (angle,), number,
+                            context, 0.0) for angle in ("theta", "phi")]
     try:
-        elements = integer(doc.get("elements"))
-    except (AttributeError, ValueError) as exc:
-        raise ValidationError(
-            "%s: geometry.elements: %s" % (context, exc)) from exc
-    try:
-        geom = ArrayGeometry(element_count=elements,
-                             spacing=float(doc["spacing_wl"]),
+        geom = ArrayGeometry(element_count=elements, spacing=spacing,
                              element=str(doc.get("element", "isotropic")))
-        steer = Direction(theta=np.deg2rad(float(doc.get("steer_theta_deg", 0.0))),
-                          phi=np.deg2rad(float(doc.get("steer_phi_deg", 0.0))))
-    except (KeyError, TypeError, ValueError) as exc:
+        steer = Direction(theta=np.deg2rad(steer_deg[0]),
+                          phi=np.deg2rad(steer_deg[1]))
+    except ValueError as exc:
         raise ValidationError("%s: bad geometry: %s" % (context, exc)) from exc
     return geom, steer
 
@@ -163,14 +183,18 @@ def write_field_dump(directory, fields, geom, grid_params):
 
 
 def _grid_from_params(params, context):
+    kind = params.get("kind") if isinstance(params, dict) else None
     try:
-        kind = params["kind"]
         if kind == "full_sphere":
-            return sphere_grid(integer(params["n_theta"]),
-                               integer(params["n_phi"]))
+            return sphere_grid(
+                read_value(params, "grid.n_theta", integer, context),
+                read_value(params, "grid.n_phi", integer, context))
         if kind == "h_plane":
-            return hplane_grid(float(params["step_deg"]))
-    except (KeyError, TypeError, ValueError) as exc:
+            return hplane_grid(
+                read_value(params, "grid.step_deg", number, context))
+    except ValidationError:
+        raise
+    except ValueError as exc:
         raise ValidationError("%s: bad grid parameters: %s" % (context, exc)) from exc
     raise ValidationError("%s: unknown grid kind %r" % (context, kind))
 

@@ -194,6 +194,36 @@ def test_config_integers_must_be_integral(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_config_numbers_must_be_numbers(tmp_path, capsys):
+    geometry = {"elements": 4, "spacing_wl": 0.3, "element": "isotropic"}
+    loaded = ExperimentConfig.from_file(_write_config(
+        tmp_path / "ints.json", geometry=dict(geometry, steer_phi_deg=90),
+        sweep={"d_min": 0, "d_max": 1, "steps": 4}, efficiency=1))
+    assert (loaded.d_min, loaded.d_max, loaded.efficiency) == (0.0, 1.0, 1.0)
+    assert isinstance(loaded.efficiency, float)
+    cases = [({"efficiency": True}, "efficiency: must be a finite number, "
+              "got True"),
+             ({"sweep": {"d_min": "0.1"}}, "sweep.d_min: must be a finite "
+              "number, got '0.1'"),
+             ({"grid": {"h_plane_step_deg": "1"}}, "grid.h_plane_step_deg: "
+              "must be a finite number, got '1'"),
+             ({"geometry": dict(geometry, spacing_wl="0.3")},
+              "geometry.spacing_wl: must be a finite number, got '0.3'"),
+             ({"geometry": dict(geometry, steer_theta_deg=False)},
+              "geometry.steer_theta_deg: must be a finite number, got False"),
+             ({"geometry": dict(geometry, steer_phi_deg=None)},
+              "geometry.steer_phi_deg: must be a finite number, got None")]
+    capsys.readouterr()
+    for number, (overrides, message) in enumerate(cases):
+        config = _write_config(tmp_path / ("bad%d.json" % number),
+                               **overrides)
+        assert cli.main(["sweep", "--config", config,
+                         "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "%s: %s" % (config, message) in err
+        assert "Traceback" not in err
+
+
 def _dump_surrogate(tmp_path, m_count=4, spacing=0.3):
     geom = ArrayGeometry(element_count=m_count, spacing=spacing,
                          element="ideal_dipole")
@@ -325,6 +355,7 @@ def test_measurement_phi_grid_must_be_uniform(tmp_path, capsys):
                                 "--config", config]) == 1
         err = capsys.readouterr().err
         assert "%s: phi grid must ascend in equal steps" % (directory,) in err
+        assert "the step after phi_deg = -171 is 2\n" in err
         assert "Traceback" not in err
     assert not (tmp_path / "run_z.json").exists()
 

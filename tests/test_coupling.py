@@ -207,11 +207,11 @@ def test_fields_from_measurements_needs_uniform_circle():
     for bad, message in (
             # a dropped row: 359 points cannot step by 1 deg around 360
             (np.delete(phi, 10), "360/359 = 1.0027855153203342 deg around "
-             "the circle; the step after phi_deg = -179 is 1$"),
+             "the circle; the step after phi_deg = -170 is 2$"),
             (phi + 100.0 * jitter, "after phi_deg = -80 is 1.0000000499"),
-            (phi[::-1], "after phi_deg = 180 is -1$"),
-            (phi[:180], "360/180 = 2 deg .* after phi_deg = -179 is 1$"),
-            (np.array([-90.0, 0.0, 90.0]), "after phi_deg = -90 is 90$")):
+            (phi[::-1], "after phi_deg = -179 is 719$"),
+            (phi[:180], "360/180 = 2 deg .* after phi_deg = 0 is 181$"),
+            (np.array([-90.0, 0.0, 90.0]), "after phi_deg = 90 is 180$")):
         with pytest.raises(ValueError, match=message):
             fields(bad)
 

@@ -36,6 +36,12 @@ def test_geometry_from_dict_errors():
                                        "spacing_wl": 0.3})
     geom, _ = fileio.geometry_from_dict({"elements": 4.0, "spacing_wl": 0.3})
     assert geom.element_count == 4 and isinstance(geom.element_count, int)
+    for key, value in (("spacing_wl", "0.3"), ("spacing_wl", True),
+                       ("steer_theta_deg", "90"), ("steer_phi_deg", True)):
+        doc = {"elements": 2, "spacing_wl": 0.3, key: value}
+        with pytest.raises(ValidationError, match="manifest.json: geometry.%s: "
+                           "must be a finite number, got %r" % (key, value)):
+            fileio.geometry_from_dict(doc, "manifest.json")
 
 
 def test_field_dump_manifest_grid_needs_integers(tmp_path):
@@ -48,8 +54,16 @@ def test_field_dump_manifest_grid_needs_integers(tmp_path):
     doc["grid"] = {"kind": "full_sphere", "n_theta": 64.5, "n_phi": 128}
     with open(manifest, "w") as handle:
         json.dump(doc, handle)
-    with pytest.raises(ValidationError, match="must be an integer, got 64.5"):
+    with pytest.raises(ValidationError, match="grid.n_theta: must be an "
+                       "integer, got 64.5"):
         fileio.read_field_dump(manifest)
+    for step in ("2", True):
+        doc["grid"] = {"kind": "h_plane", "step_deg": step}
+        with open(manifest, "w") as handle:
+            json.dump(doc, handle)
+        with pytest.raises(ValidationError, match="grid.step_deg: must be a "
+                           "finite number, got %r" % (step,)):
+            fileio.read_field_dump(manifest)
 
 
 def test_measurement_csv_roundtrip(tmp_path):
