@@ -415,9 +415,8 @@ def criterion_13(tamper=False):
                 antenna_index=m))
         return out
 
-    amplitude, phases, es_meas = coupling.power_patterns_from(
-        to_measurements(es))
-    z_meas = impedance.z_from_measurements(amplitude, phases)
+    es_meas = coupling.fields_from_measurements(to_measurements(es))
+    z_meas = impedance.z_from_measurements(es_meas.theta_rows())
     z_direct = impedance.z_hplane(geom, grid)
     gap_z = float(np.max(np.abs(z_meas.values - z_direct.values)))
     ec_meas = coupling.fields_from_measurements(to_measurements(ec))

@@ -289,9 +289,8 @@ def cmd_ingest(args):
     geom = config.geometry
     isolated, coupled = _read_measurement_sets(args.measurements, geom)
     try:
-        amplitude, phases, es = coupling.power_patterns_from(isolated,
-                                                             args.amplitude)
-        z = impedance.z_from_measurements(amplitude, phases)
+        es = coupling.fields_from_measurements(isolated, args.amplitude)
+        z = impedance.z_from_measurements(es.theta_rows())
         ec = coupling.fields_from_measurements(coupled, args.amplitude)
         c = coupling.estimate_c_full(es, ec)
     except ValueError as exc:

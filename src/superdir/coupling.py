@@ -219,17 +219,6 @@ def fields_from_measurements(measurements, amplitude_kind="power"):
     return FieldMatrix(values=values, grid=grid)
 
 
-def power_patterns_from(measurements, amplitude_kind="power"):
-    """Common power pattern and per-element phases for the Z formula."""
-    fields = fields_from_measurements(measurements, amplitude_kind)
-    if amplitude_kind == "power":
-        amplitude = measurements[0].amplitude
-    else:
-        amplitude = measurements[0].amplitude ** 2
-    phases = [np.deg2rad(meas.phase_deg) for meas in measurements]
-    return np.asarray(amplitude, dtype=float), phases, fields
-
-
 def column_symmetry_residual(c):
     """Deviation from the column-reversal symmetry of uniform arrays.
 

@@ -167,32 +167,18 @@ def z_hplane(geom, grid):
     return ImpedanceMatrix(values=z, self_power=1.0)
 
 
-def z_from_measurements(amplitude, phases):
-    """Impedance matrix from measured H-plane patterns.
+def z_from_measurements(samples):
+    """Impedance matrix from measured H-plane fields.
 
-    ``amplitude`` is the common power pattern of the isolated element
-    over the phi grid; ``phases`` is a list of per-element phase
-    patterns in radians.  Accumulates z_ij = sum_phi amplitude(phi)
-    exp(j Psi_i) exp(-j Psi_j), Hermitian by construction, then
-    normalizes the diagonal and keeps the real part (the imaginary part
-    cancels on symmetric phi grids).
+    ``samples`` is (P, M): each column one isolated element's complex
+    field over a uniform phi grid, as
+    ``coupling.fields_from_measurements(...).theta_rows()`` gives it.
+    z_ij = sum_phi conj(E_i) E_j, with each element's own amplitude, is
+    normalized to unit diagonal and keeps its real part (the imaginary
+    part cancels on symmetric phi grids).
     """
-    amplitude = np.asarray(amplitude, dtype=float)
-    if np.any(amplitude < 0.0):
-        raise ValueError("power samples must be non-negative")
-    phases = [np.asarray(p, dtype=float) for p in phases]
-    n = len(amplitude)
-    for p in phases:
-        if len(p) != n:
-            raise ValueError("phase patterns must share the amplitude grid")
-    e = np.exp(1j * np.stack(phases, axis=1))  # (P, M)
-    raw = (e * amplitude[:, None]).conj().T @ e
-    raw = raw.T
-    raw = 0.5 * (raw + raw.conj().T)
-    diag = np.diag(raw)
-    if np.any(np.abs(diag.imag) > 1e-10 * np.abs(diag.real)):
-        raise ValueError("diagonal of measured impedance is not real")
-    z, _ = _normalize(raw)
+    e = np.asarray(samples, dtype=complex)
+    z, _ = _normalize(e.conj().T @ e)
     return ImpedanceMatrix(values=z, self_power=1.0)
 
 

@@ -6,7 +6,7 @@ from superdir.coupling import (CouplingMatrix, FieldMatrix,
                                PatternMeasurement, column_symmetry_residual,
                                default_reduced_angles, estimate_c_full,
                                estimate_c_reduced, fields_from_measurements,
-                               minimum_angles, power_patterns_from)
+                               minimum_angles)
 from superdir.geometry import (ArrayGeometry, hplane_grid, sphere_grid,
                                steering_matrix)
 from superdir.impedance import port_impedance_for
@@ -214,17 +214,6 @@ def test_fields_from_measurements_needs_uniform_circle():
             (np.array([-90.0, 0.0, 90.0]), "after phi_deg = 90 is 180$")):
         with pytest.raises(ValueError, match=message):
             fields(bad)
-
-
-def test_power_patterns_from_shares_envelope():
-    grid = hplane_grid(1.0)
-    geom, es, _, _ = _surrogate_pair(3, 0.3, grid)
-    phi_deg = np.rad2deg(grid.phi)
-    amplitude, phases, fields = power_patterns_from(
-        _measurements_from(es, phi_deg))
-    assert amplitude.shape == (grid.size,)
-    assert len(phases) == 3
-    assert_allclose(fields.values, es.values, atol=1e-12)
 
 
 def test_flagged_condition():
