@@ -175,7 +175,7 @@ def test_large_spacing_decorrelates():
     assert abs(z_isotropic_closed(geom).values[0, 1]) < 0.12
 
 
-def test_impedance_matrix_is_read_only():
+def test_impedance_matrix_memo_follows_values():
     z = z_full(ArrayGeometry(4, 0.2), sphere_grid(32, 64))
     e = np.exp(1j * np.arange(4.0))
     x = z.solve(e)
