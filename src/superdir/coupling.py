@@ -197,10 +197,13 @@ def fields_from_measurements(measurements, amplitude_kind="power"):
     gaps = np.diff(phi_deg, append=phi_deg[0] + 360.0)
     deviation = np.abs(gaps - 360.0 / n)
     if deviation.max() > 1e-9:
-        # Name the worst step, not the first: with a row dropped, 360/n no
-        # longer equals the grid's step, so every step is a little off and
-        # only the one across the gap is off by a whole step.
-        i = int(deviation.argmax())
+        # A step that does not ascend is the fault itself, so name the
+        # first one.  Otherwise name the worst step, not the first: with a
+        # row dropped, 360/n no longer equals the grid's step, so every
+        # step is a little off and only the one across the gap is off by a
+        # whole step.
+        falls = np.flatnonzero(gaps <= 0.0)
+        i = int(falls[0]) if falls.size else int(deviation.argmax())
         raise ValueError(
             "phi grid must ascend in equal steps of 360/%d = %.17g deg "
             "around the circle; the step after phi_deg = %.17g is %.17g" %

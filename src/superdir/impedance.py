@@ -173,12 +173,19 @@ def z_from_measurements(samples):
     ``samples`` is (P, M): each column one isolated element's complex
     field over a uniform phi grid, as
     ``coupling.fields_from_measurements(...).theta_rows()`` gives it.
-    z_ij = sum_phi conj(E_i) E_j, with each element's own amplitude, is
-    normalized to unit diagonal and keeps its real part (the imaginary
-    part cancels on symmetric phi grids).
+    z_ij = Re sum_phi conj(E_i) E_j / sqrt(p_i p_j), p_i the element's
+    own power sum_phi |E_i|^2: the normalized correlation, so an element's
+    gain leaves its row unchanged (the imaginary part cancels on
+    symmetric phi grids).
     """
     e = np.asarray(samples, dtype=complex)
-    z, _ = _normalize(e.conj().T @ e)
+    raw = np.real(e.conj().T @ e)
+    power = np.diag(raw).copy()
+    if power.min() <= 0.0:
+        raise ValueError("non-positive self term in impedance computation")
+    z = raw / np.sqrt(np.outer(power, power))
+    z = 0.5 * (z + z.T)
+    np.fill_diagonal(z, 1.0)
     return ImpedanceMatrix(values=z, self_power=1.0)
 
 

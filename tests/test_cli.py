@@ -310,16 +310,18 @@ def test_ingest_outputs_z_and_c(tmp_path):
     assert_allclose(c.values, c_true.values, atol=1e-9)
 
 
-def test_ingest_weights_each_element_by_its_own_amplitude(tmp_path):
-    # two co-phased elements of equal mean power, |E_1| = 1 and
-    # |E_2| = sqrt(2) |cos phi|: z_12 is the mean of sqrt(2) |cos phi|,
+@pytest.mark.parametrize("gain", [1.0, 2.0])
+def test_ingest_weights_each_element_by_its_own_amplitude(tmp_path, gain):
+    # two co-phased elements, |E_1| = 1 and |E_2| = gain sqrt(2) |cos phi|:
+    # the normalized correlation z_12 is the mean of sqrt(2) |cos phi|,
     # 2 sqrt(2) / pi up to the cut's quadrature error (2.5e-5 at 1 deg),
-    # where antenna 1's amplitude for both elements would give 1
+    # for either gain; antenna 1's amplitude for both elements would give
+    # 1, and dividing by element 1's power alone gain 2 sqrt(2) / pi
     geom = ArrayGeometry(element_count=2, spacing=0.3)
     grid = hplane_grid(1.0)
     values = np.zeros((2 * grid.size, 2), dtype=complex)
     values[0::2, 0] = 1.0
-    values[0::2, 1] = np.sqrt(2.0) * np.abs(np.cos(grid.phi))
+    values[0::2, 1] = gain * np.sqrt(2.0) * np.abs(np.cos(grid.phi))
     fields = coupling.FieldMatrix(values=values, grid=grid)
     directory = _write_measurements(tmp_path, geom, fields, fields)
     config = _write_config(tmp_path / "config.json",

@@ -209,7 +209,9 @@ def test_fields_from_measurements_needs_uniform_circle():
             (np.delete(phi, 10), "360/359 = 1.0027855153203342 deg around "
              "the circle; the step after phi_deg = -170 is 2$"),
             (phi + 100.0 * jitter, "after phi_deg = -80 is 1.0000000499"),
-            (phi[::-1], "after phi_deg = -179 is 719$"),
+            # a descending grid is named where it first falls, not at
+            # the wrap step
+            (phi[::-1], "after phi_deg = 180 is -1$"),
             (phi[:180], "360/180 = 2 deg .* after phi_deg = 0 is 181$"),
             (np.array([-90.0, 0.0, 90.0]), "after phi_deg = 90 is 180$")):
         with pytest.raises(ValueError, match=message):

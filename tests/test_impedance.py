@@ -287,3 +287,24 @@ def test_z_from_measurements_recovers_hplane():
     assert_allclose(z.values, z_hplane_closed(geom).values, atol=1e-12)
     assert_allclose(np.diag(z.values), 1.0)
 
+
+def test_z_from_measurements_ignores_element_gain():
+    # z_ij is the normalized correlation: a gain on one element (2 here)
+    # must leave Z as it is, where dividing by element 0's self term
+    # doubles that element's off-diagonal entries
+    grid = hplane_grid(1.0)
+    psi = 2.0 * np.pi * 0.3 * np.sin(grid.phi)
+    e1 = np.ones(grid.size, dtype=complex)
+    same = z_from_measurements(np.column_stack([e1, e1 * np.exp(1j * psi)]))
+    gained = z_from_measurements(
+        np.column_stack([e1, 2.0 * e1 * np.exp(1j * psi)]))
+    assert_allclose(gained.values, same.values, atol=1e-15)
+    assert_allclose(same.values[0, 1], z_hplane_closed(
+        ArrayGeometry(element_count=2, spacing=0.3)).values[0, 1], atol=1e-12)
+    # co-phased elements that differ only in gain are fully correlated,
+    # and Z stays positive semi-definite
+    scaled = z_from_measurements(np.column_stack([e1, 2.0 * e1])).validate()
+    assert_allclose(scaled.values, np.ones((2, 2)), atol=1e-15)
+    with pytest.raises(ValueError, match="non-positive self term"):
+        z_from_measurements(np.column_stack([e1, 0.0 * e1]))
+
