@@ -17,10 +17,10 @@ from .coupling import (CouplingMatrix, FieldMatrix, PatternMeasurement,
                        fields_from_measurements, minimum_angles)
 from .geometry import (AngularGrid, ArrayGeometry, Direction, hplane_grid,
                        sphere_grid, steering_matrix, steering_vector)
-from .impedance import (ImpedanceMatrix, PortImpedanceMatrix,
-                        mutual_impedance_emf, port_impedance_emf,
-                        port_impedance_for, z_from_measurements, z_full,
-                        z_hplane, z_isotropic_closed)
+from .impedance import (ImpedanceMatrix, mutual_impedance_emf,
+                        port_impedance_emf, port_impedance_for,
+                        z_from_measurements, z_full, z_hplane,
+                        z_isotropic_closed)
 from .linalg import ConditionGateError, condition_number, gated_solve
 from .surrogate import (TerminationSpec, coupled_fields, coupling_truth,
                         isolated_fields)
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AngularGrid", "ArrayGeometry", "ConditionGateError", "CouplingMatrix",
     "Direction", "FieldMatrix", "ImpedanceMatrix", "PatternMeasurement",
-    "PatternMetrics", "PortImpedanceMatrix",
+    "PatternMetrics",
     "TerminationSpec", "column_symmetry_residual", "condition_number",
     "coupled_fields", "coupling_truth", "default_reduced_angles", "delta_d",
     "delta_f_from_patterns", "directivity", "directivity_coupled",

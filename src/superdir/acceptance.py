@@ -17,7 +17,6 @@ import numpy as np
 from . import beamforming, cli, coupling, impedance, surrogate
 from .geometry import (ArrayGeometry, Direction, hplane_grid, sphere_grid,
                        steering_matrix, steering_vector)
-from .surrogate import TerminationSpec
 
 SWEEP_SPACINGS = (0.5, 0.4, 0.3, 0.2, 0.1)
 
@@ -58,13 +57,13 @@ def _geom(m_count, spacing, element):
 def _surrogate(m_count, spacing, element):
     """(E_c, C_true) on the default sphere grid."""
     geom = _geom(m_count, spacing, element)
-    zc = impedance.port_impedance_for(geom)
-    return surrogate.coupled_fields(geom, _grid(), zc, TerminationSpec())
+    return surrogate.coupled_fields(geom, _grid(),
+                                    impedance.port_impedance_for(geom))
 
 
 def _c_true(geom):
-    """Ground-truth C alone, without the fields of ``_surrogate``."""
-    return surrogate.coupling_truth(impedance.port_impedance_for(geom))
+    """Ground-truth C as an array, without the fields of ``_surrogate``."""
+    return surrogate.coupling_truth(impedance.port_impedance_for(geom)).values
 
 
 @lru_cache(maxsize=None)
@@ -157,8 +156,7 @@ def _reduced_setup(m_count, d):
     geom = _geom(m_count, d, "ideal_dipole")
     c_true = _c_true(geom)
     es_h = surrogate.isolated_fields(geom, _hgrid())
-    ec_h = coupling.FieldMatrix(values=es_h.values @ c_true.values,
-                                grid=_hgrid())
+    ec_h = coupling.FieldMatrix(values=es_h.values @ c_true, grid=_hgrid())
     c_full = coupling.estimate_c_full(es_h, ec_h)
     return geom, c_true, c_full
 
@@ -166,7 +164,7 @@ def _reduced_setup(m_count, d):
 def _reduced_samples(geom, c_true, angles):
     theta = np.full(len(angles), np.pi / 2)
     a = steering_matrix(geom, theta, angles, "in_plane")
-    return a @ c_true.values
+    return a @ c_true
 
 
 def criterion_5(tamper=False):
@@ -202,7 +200,7 @@ def criterion_5(tamper=False):
     three = coupling.default_reduced_angles(3)
     c3_red = coupling.estimate_c_reduced(
         _reduced_samples(geom3, c3, three), three, geom3)
-    gap3 = np.linalg.norm(c3_red.values - c3.values) / np.linalg.norm(c3.values)
+    gap3 = np.linalg.norm(c3_red.values - c3) / np.linalg.norm(c3)
     worst = max(worst, float(gap3) / 1e-6)
     # pattern from the 4-angle estimate, M=8, d=0.3
     geom, z, e, c_true = _dipole_setup(8, 0.3)
@@ -214,8 +212,8 @@ def criterion_5(tamper=False):
     cut = steering_matrix(geom, np.full(len(phi), np.pi / 2), phi, "in_plane")
     db = []
     for c_used in (c_full, c_red):
-        b = beamforming.proposed_vector(c_used, z, e)
-        power = np.abs(cut @ (c_true.values @ b)) ** 2
+        b = beamforming.proposed_vector(c_used.values, z, e)
+        power = np.abs(cut @ (c_true @ b)) ** 2
         db.append(10.0 * np.log10(power / power.max()))
     gap_db = float(np.max(np.abs(db[0] - db[1])))
     worst = max(worst, gap_db / 0.1)
@@ -235,8 +233,8 @@ def criterion_6(tamper=False):
                 ec, c_true = _surrogate(m_count, d, element)
                 c_est = coupling.estimate_c_full(es, ec)
                 worst = max(worst,
-                            coupling.column_symmetry_residual(c_true),
-                            coupling.column_symmetry_residual(c_est))
+                            coupling.column_symmetry_residual(c_true.values),
+                            coupling.column_symmetry_residual(c_est.values))
     return _result(6, "column_reversal_symmetry", worst, 1e-8,
                    "worst residual %.2e <= 1e-8" % (worst,), tamper)
 
@@ -334,8 +332,7 @@ def criterion_10(tamper=False):
         z = impedance.z_isotropic_closed(geom)
         e = steering_vector(geom, endfire)
         a = beamforming.traditional_vector(z, e)
-        identity = coupling.CouplingMatrix(values=np.eye(4), condition=1.0)
-        gains.append(beamforming.gain(a, identity, e, z, r_loss))
+        gains.append(beamforming.gain(a, np.eye(4), e, z, r_loss))
     gains = np.asarray(gains)
     interior = 0.0 if (gains[0] < gains.max() and gains[-1] < gains.max() and
                        0 < int(np.argmax(gains)) < len(gains) - 1) else 1.0
@@ -401,7 +398,7 @@ def criterion_13(tamper=False):
     geom, z_sphere, e, c_true = _dipole_setup(4, 0.3)
     grid = _hgrid()
     es = surrogate.isolated_fields(geom, grid)
-    ec = coupling.FieldMatrix(values=es.values @ c_true.values, grid=grid)
+    ec = coupling.FieldMatrix(values=es.values @ c_true, grid=grid)
     phi_deg = np.rad2deg(grid.phi)
 
     def to_measurements(fields):
@@ -421,8 +418,7 @@ def criterion_13(tamper=False):
     gap_z = float(np.max(np.abs(z_meas.values - z_direct.values)))
     ec_meas = coupling.fields_from_measurements(to_measurements(ec))
     c_est = coupling.estimate_c_full(es_meas, ec_meas)
-    gap_c = np.linalg.norm(c_est.values - c_true.values) / \
-        np.linalg.norm(c_true.values)
+    gap_c = np.linalg.norm(c_est.values - c_true) / np.linalg.norm(c_true)
     err = max(gap_z / 1e-9, float(gap_c) / 1e-6)
     return _result(13, "measurement_roundtrip", err, 1.0,
                    "Z gap %.2e <= 1e-9, C gap %.2e <= 1e-6" % (gap_z, gap_c),

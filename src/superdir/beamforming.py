@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import CouplingMatrix
 from .linalg import gated_solve
 
 DELTA_F_FLOOR_DB = -300.0
@@ -25,12 +24,6 @@ class PatternMetrics:
 
     beamwidth_3db_deg: float
     psll_db: float
-    beamwidth_defined: bool = True
-    psll_defined: bool = True
-
-
-def _values(a):
-    return np.asarray(getattr(a, "values", a), dtype=complex)
 
 
 def _quadratic_form(a, z):
@@ -57,13 +50,14 @@ def traditional_vector(z, e, tikhonov=None):
 def proposed_vector(c, z, e, tikhonov=None):
     """Double-coupling synthesis b = C^-1 Z^-1 e*, unit-normalized."""
     x = z.solve(np.conj(np.asarray(e, dtype=complex)), tikhonov)
-    b, _ = gated_solve(_values(c), x, tikhonov=tikhonov,
+    b, _ = gated_solve(c, x, tikhonov=tikhonov,
                        context="coupling matrix")
     return b / np.linalg.norm(b)
 
 
 def synthesize(method, z, e, c, tikhonov=None):
-    """Excitation of one method and the coupling matrix it radiates through.
+    """Excitation of one method and the coupling matrix (an (M, M)
+    array, as ``c`` is) it radiates through.
 
     ``theoretical`` is the traditional excitation without field coupling
     (C = I), the array the bound e^H Z^-1 e describes.
@@ -75,14 +69,12 @@ def synthesize(method, z, e, c, tikhonov=None):
     if method == "proposed":
         return proposed_vector(c, z, e, tikhonov=tikhonov), c
     if method == "theoretical":
-        identity = CouplingMatrix(values=np.eye(len(e)), condition=1.0)
-        return traditional_vector(z, e, tikhonov=tikhonov), identity
+        return traditional_vector(z, e, tikhonov=tikhonov), np.eye(len(e))
     raise ValueError("unknown synthesis method %r" % (method,))
 
 
 def directivity(a, e, z):
     """Rayleigh-quotient directivity of excitation a toward e."""
-    a = _values(a)
     e = np.asarray(e, dtype=complex)
     denom = _quadratic_form(a, z.values) * z.self_power
     if denom <= 0.0:
@@ -93,8 +85,7 @@ def directivity(a, e, z):
 
 def directivity_coupled(b, c, e, z):
     """Directivity with the effective excitation Cb."""
-    effective = _values(c) @ _values(b)
-    return directivity(effective, e, z)
+    return directivity(c @ b, e, z)
 
 
 def max_directivity(z, e, tikhonov=None):
@@ -115,7 +106,7 @@ def gain(b, c, e, z, r_loss):
     """Gain: directivity with ohmic loss added to the radiated power."""
     if r_loss < 0.0:
         raise ValueError("loss resistance must be non-negative")
-    w = _values(c) @ _values(b)
+    w = c @ b
     e = np.asarray(e, dtype=complex)
     denom = (_quadratic_form(w, z.values) +
              r_loss * float(np.real(np.vdot(w, w)))) * z.self_power
@@ -183,8 +174,8 @@ def pattern_metrics(power, angles_deg, steer_deg):
     covering the circle).  The main lobe is the contiguous region around
     the steer angle bounded by the first local minima; the -3 dB
     crossings are located by linear interpolation on power.  Patterns
-    without a crossing report the 360-degree convention, and patterns
-    without minima leave the sidelobe level undefined.
+    without a crossing report a 360-degree beamwidth, and patterns
+    without two minima a NaN sidelobe level.
     """
     power = np.asarray(power, dtype=float)
     angles_deg = np.asarray(angles_deg, dtype=float)
@@ -231,17 +222,13 @@ def pattern_metrics(power, angles_deg, steer_deg):
 
     if right_cross is None or left_cross is None:
         beamwidth = 360.0
-        beamwidth_defined = False
     else:
         beamwidth = right_cross + left_cross
-        beamwidth_defined = True
 
     if right_min is None or left_min is None or right_min == left_min:
         # fewer than two local minima: a single lobe has no sidelobes
         return PatternMetrics(beamwidth_3db_deg=beamwidth,
-                              psll_db=float("nan"),
-                              beamwidth_defined=beamwidth_defined,
-                              psll_defined=False)
+                              psll_db=float("nan"))
 
     # the main lobe runs right from left_min through the peak to right_min,
     # across the +-180 degree seam when left_min > right_min
@@ -253,17 +240,13 @@ def pattern_metrics(power, angles_deg, steer_deg):
     outside = power[~inside]
     if not outside.size:
         return PatternMetrics(beamwidth_3db_deg=beamwidth,
-                              psll_db=float("nan"),
-                              beamwidth_defined=beamwidth_defined,
-                              psll_defined=False)
+                              psll_db=float("nan"))
     highest = outside.max()
     if highest <= 0.0:
         psll = DELTA_F_FLOOR_DB
     else:
         psll = float(10.0 * np.log10(highest / peak))
-    return PatternMetrics(beamwidth_3db_deg=beamwidth, psll_db=min(psll, 0.0),
-                          beamwidth_defined=beamwidth_defined,
-                          psll_defined=True)
+    return PatternMetrics(beamwidth_3db_deg=beamwidth, psll_db=min(psll, 0.0))
 
 
 def eig_crosscheck(z, e):

@@ -91,8 +91,8 @@ class ExperimentConfig:
         d_min = _number(path, sweep, "sweep", "d_min")
         d_max = _number(path, sweep, "sweep", "d_max")
         steps = _number(path, sweep, "sweep", "steps", fileio.integer)
-        if not d_min < d_max:
-            raise ValidationError("%s: sweep needs d_min < d_max" % (path,))
+        if not 0.0 < d_min < d_max:
+            raise ValidationError("%s: sweep needs 0 < d_min < d_max" % (path,))
         if steps < 2:
             raise ValidationError("%s: sweep needs steps >= 2" % (path,))
         efficiency = _number(path, doc, "", "efficiency")
@@ -122,6 +122,16 @@ class ExperimentConfig:
                    h_plane_step_deg=step)
 
 
+def _steered_config(path):
+    """The config of a command that steers the array (sweep, pattern)."""
+    config = ExperimentConfig.from_file(path)
+    # Past -120 dB the excitations solved from e underflow into NaN.
+    if abs(steering_vector(config.geometry, config.steer)[0]) < 1e-6:
+        raise ValidationError("%s: geometry.steer_theta_deg: the element "
+                              "radiates below -120 dB there" % (path,))
+    return config
+
+
 def _orientation_for(geom):
     """Dipole arrays run in the measurement (in-plane) configuration."""
     return "in_plane" if geom.element == "ideal_dipole" else "axial"
@@ -148,8 +158,8 @@ def _steer_cut_angle(config, orientation):
 
 
 def _arrays(config, spacings):
-    """Yield (geometry, Z, steering vector, ground-truth C, cut matrix) of
-    the configured array at each spacing."""
+    """Yield (geometry, Z, steering vector, ground-truth C as a
+    CouplingMatrix, cut matrix) of the configured array at each spacing."""
     orientation = _orientation_for(config.geometry)
     grid = sphere_grid(config.n_theta, config.n_phi)
     cut_theta, cut_phi = _cut_angles(config, orientation)
@@ -174,7 +184,7 @@ def _sweep_rows(config, tikhonov=None):
         cond_c = float(c_true.condition)
         d_max = beamforming.max_directivity(z, e, tikhonov=tikhonov)
         for method in config.methods:
-            a, c_eval = beamforming.synthesize(method, z, e, c_true,
+            a, c_eval = beamforming.synthesize(method, z, e, c_true.values,
                                                tikhonov=tikhonov)
             if method == "theoretical":
                 direct = d_max
@@ -183,7 +193,7 @@ def _sweep_rows(config, tikhonov=None):
             g = beamforming.gain(a, c_eval, e, z, r_loss)
             dd = beamforming.delta_d(a, c_eval, e, z)
             field_th = cut @ a
-            field_ac = cut @ (c_eval.values @ a)
+            field_ac = cut @ (c_eval @ a)
             df = beamforming.delta_f_from_patterns(field_th, field_ac)
             power = np.abs(field_ac) ** 2
             metrics = beamforming.pattern_metrics(power, psi_deg, steer_deg)
@@ -197,21 +207,25 @@ def _sweep_rows(config, tikhonov=None):
 
 
 def cmd_sweep(args):
-    config = ExperimentConfig.from_file(args.config)
-    rows = _sweep_rows(config, tikhonov=args.regularize)
+    config = _steered_config(args.config)
+    try:
+        rows = _sweep_rows(config, tikhonov=args.regularize)
+    except ValueError as exc:  # past the gate: a grid too coarse for Z
+        raise ValidationError("%s: %s (grid.n_theta = %d, grid.n_phi = %d)" % (
+            args.config, exc, config.n_theta, config.n_phi)) from exc
     fileio.write_sweep_csv(args.out, rows)
     return 0
 
 
 def cmd_pattern(args):
-    config = ExperimentConfig.from_file(args.config)
+    config = _steered_config(args.config)
     psi_deg = hplane_degrees(config.h_plane_step_deg)
     _, z, e, c_true, cut = next(_arrays(config, [config.geometry.spacing]))
     root, ext = os.path.splitext(args.out)
     for method in config.methods:
-        a, c_eval = beamforming.synthesize(method, z, e, c_true,
+        a, c_eval = beamforming.synthesize(method, z, e, c_true.values,
                                            tikhonov=args.regularize)
-        power = np.abs(cut @ (c_eval.values @ a)) ** 2
+        power = np.abs(cut @ (c_eval @ a)) ** 2
         peak = power.max()
         if peak <= 0.0:
             raise ValidationError("all-zero pattern for method %s" % (method,))

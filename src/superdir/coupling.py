@@ -55,10 +55,6 @@ class CouplingMatrix:
     residual: float = 0.0
 
     @property
-    def size(self):
-        return self.values.shape[0]
-
-    @property
     def flagged(self):
         """True when the condition number crosses the reporting threshold."""
         return bool(self.condition > CONDITION_FLAG)
@@ -107,8 +103,14 @@ def estimate_c_full(es, ec, solver="svd"):
         c, _ = gated_solve(gram, rhs, context="normal equations")
     else:
         raise ValueError("unknown solver %r" % (solver,))
-    res = np.linalg.norm(es.values @ c - ec.values)
-    denom = np.linalg.norm(ec.values)
+    return _estimate(c, es.values, ec.values)
+
+
+def _estimate(c, design, samples):
+    """``c`` as a CouplingMatrix, with its condition number and the
+    relative residual ||design c - samples|| / ||samples||."""
+    res = np.linalg.norm(design @ c - samples)
+    denom = np.linalg.norm(samples)
     residual = float(res / denom) if denom > 0.0 else float(res)
     return CouplingMatrix(values=c, condition=condition_number(c),
                           residual=residual)
@@ -151,11 +153,11 @@ def estimate_c_reduced(ec_samples, angles_phi, geom):
             (p, need, m_count))
     theta = np.full(p, np.pi / 2)
     a = steering_matrix(geom, theta, angles_phi, "in_plane")
-    c = np.zeros((m_count, m_count), dtype=complex)
     if m_count % 2 == 0:
         stacked = np.vstack([a, a[:, ::-1]])
         if singular_ratio(stacked) < 1e-10:
             raise ValueError("angle set is degenerate for the reduced solve")
+        c = np.zeros((m_count, m_count), dtype=complex)
         for m in range(m_count // 2):
             mirror = m_count - 1 - m
             rhs = np.concatenate([ec_samples[:, m], ec_samples[:, mirror]])
@@ -165,13 +167,8 @@ def estimate_c_reduced(ec_samples, angles_phi, geom):
     else:
         if singular_ratio(a) < 1e-10:
             raise ValueError("angle set is degenerate for the reduced solve")
-        col, _, _ = lstsq_cutoff(a, ec_samples)
-        c = col
-    res = np.linalg.norm(a @ c - ec_samples)
-    denom = np.linalg.norm(ec_samples)
-    residual = float(res / denom) if denom > 0.0 else float(res)
-    return CouplingMatrix(values=c, condition=condition_number(c),
-                          residual=residual)
+        c, _, _ = lstsq_cutoff(a, ec_samples)
+    return _estimate(c, a, ec_samples)
 
 
 def fields_from_measurements(measurements, amplitude_kind="power"):
@@ -226,11 +223,9 @@ def column_symmetry_residual(c):
     """Deviation from the column-reversal symmetry of uniform arrays.
 
     max over (i, j) of |c_ji - c_(M+1-j)(M+1-i)| / max|c|, which is 0
-    for a perfectly symmetric array.
+    for a perfectly symmetric array.  ``c`` is the (M, M) array.
     """
-    values = np.asarray(getattr(c, "values", c))
-    peak = np.max(np.abs(values))
+    peak = np.max(np.abs(c))
     if peak == 0.0:
         return 0.0
-    reversed_both = values[::-1, ::-1]
-    return float(np.max(np.abs(values - reversed_both)) / peak)
+    return float(np.max(np.abs(c - c[::-1, ::-1])) / peak)

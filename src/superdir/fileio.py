@@ -207,9 +207,12 @@ def read_field_dump(manifest_path):
             manifest = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError("%s: %s" % (manifest_path, exc)) from exc
+    files = manifest.get("files", []) if isinstance(manifest, dict) else None
+    if not (isinstance(files, list) and all(isinstance(f, str) for f in files)):
+        raise ValidationError("%s: need a JSON object whose files is a list "
+                              "of file names" % (manifest_path,))
     geom, _ = geometry_from_dict(manifest.get("geometry", {}), manifest_path)
     grid = _grid_from_params(manifest.get("grid", {}), manifest_path)
-    files = manifest.get("files", [])
     if len(files) != geom.element_count:
         raise ValidationError(
             "%s: expected %d port files, found %d" %
@@ -236,7 +239,7 @@ def read_field_dump(manifest_path):
 
 
 def write_c_json(path, c):
-    doc = {"m": c.size,
+    doc = {"m": len(c.values),
            "re": [[float(v.real) for v in row] for row in c.values],
            "im": [[float(v.imag) for v in row] for row in c.values],
            "condition": float(c.condition),
@@ -263,7 +266,7 @@ def read_c_json(path):
 
 
 def write_z_json(path, z):
-    doc = {"m": z.size,
+    doc = {"m": len(z.values),
            "values": [[float(v) for v in row] for row in z.values],
            "self_power": float(z.self_power)}
     with open(path, "w") as handle:

@@ -6,17 +6,16 @@ unit diagonal.  ``self_power`` keeps the discarded self term, the mean
 radiated power of a single element, so directivity can be restored to
 absolute scale (1 for an isotropic element, 2/3 for an ideal dipole).
 
-A complex port-impedance variant feeds the terminated-port surrogate:
-half-wave dipole mutual impedances follow the classical induced-EMF
-closed form in sine/cosine integrals, and isotropic elements get a
-clearly-labeled synthetic network.
+A complex symmetric (M, M) port-impedance array in ohms feeds the
+terminated-port surrogate: half-wave dipole mutual impedances follow
+the classical induced-EMF closed form in sine/cosine integrals, and
+isotropic elements get a clearly-labeled synthetic network.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import toeplitz
 from scipy.special import sici
 
 from .geometry import K, gain_arrays, phase_argument
@@ -45,10 +44,6 @@ class ImpedanceMatrix:
         values = np.array(self.values)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    @property
-    def size(self):
-        return self.values.shape[0]
 
     @cached_property
     def condition(self):
@@ -80,27 +75,23 @@ class ImpedanceMatrix:
         return self
 
 
-@dataclass
-class PortImpedanceMatrix:
-    """Complex symmetric port network in ohms for the surrogate."""
-
-    values: np.ndarray
-    self_impedance: complex
-
-    @property
-    def size(self):
-        return self.values.shape[0]
-
-
 def _normalize(raw):
-    """Scale a raw Gram matrix to unit diagonal; returns (z, self_term)."""
-    self_term = float(np.real(raw[0, 0]))
-    if self_term <= 0.0:
+    """z_ij = raw_ij / sqrt(raw_ii raw_jj) of a real Gram matrix,
+    symmetrized, with a unit diagonal."""
+    power = np.diag(raw).copy()
+    if power.min() <= 0.0:
         raise ValueError("non-positive self term in impedance computation")
-    z = np.real(raw) / self_term
+    z = raw / np.sqrt(np.outer(power, power))
     z = 0.5 * (z + z.T)
     np.fill_diagonal(z, 1.0)
-    return z, self_term
+    return z
+
+
+def _toeplitz(col):
+    """Symmetric Toeplitz matrix col[|i - j|]; a complex ``col`` is not
+    conjugated, so the result is symmetric, not Hermitian."""
+    index = np.arange(len(col))
+    return col[np.abs(index[:, None] - index[None, :])]
 
 
 def _lag_column(weight, phase, count):
@@ -128,7 +119,7 @@ def z_full(geom, grid, orientation="axial"):
     displacements run along the pattern's polar axis or in the
     theta = pi/2 plane (the measurement configuration).  Z keeps the
     integral's real (cosine) part, which depends on m - n only, so it is
-    summed once per lag and filled in by ``toeplitz``.
+    summed once per lag and filled in as a Toeplitz matrix.
     """
     if grid.kind != "full_sphere":
         raise ValueError("z_full requires a full-sphere grid")
@@ -137,8 +128,8 @@ def z_full(geom, grid, orientation="axial"):
     u = phase_argument(grid.theta, grid.phi, orientation)
     col = _lag_column(power / (4.0 * np.pi), K * geom.spacing * u,
                       geom.element_count)
-    z, self_term = _normalize(toeplitz(col))
-    return ImpedanceMatrix(values=z, self_power=self_term).validate()
+    return ImpedanceMatrix(values=_normalize(_toeplitz(col)),
+                           self_power=float(col[0])).validate()
 
 
 def z_isotropic_closed(geom):
@@ -163,8 +154,7 @@ def z_hplane(geom, grid):
         raise ValueError("z_hplane requires an H-plane grid")
     col = _lag_column(grid.weight / (2.0 * np.pi),
                       K * geom.spacing * np.sin(grid.phi), geom.element_count)
-    z, _ = _normalize(toeplitz(col))
-    return ImpedanceMatrix(values=z, self_power=1.0)
+    return ImpedanceMatrix(values=_normalize(_toeplitz(col)), self_power=1.0)
 
 
 def z_from_measurements(samples):
@@ -179,14 +169,8 @@ def z_from_measurements(samples):
     symmetric phi grids).
     """
     e = np.asarray(samples, dtype=complex)
-    raw = np.real(e.conj().T @ e)
-    power = np.diag(raw).copy()
-    if power.min() <= 0.0:
-        raise ValueError("non-positive self term in impedance computation")
-    z = raw / np.sqrt(np.outer(power, power))
-    z = 0.5 * (z + z.T)
-    np.fill_diagonal(z, 1.0)
-    return ImpedanceMatrix(values=z, self_power=1.0)
+    return ImpedanceMatrix(values=_normalize(np.real(e.conj().T @ e)),
+                           self_power=1.0)
 
 
 def mutual_impedance_emf(d):
@@ -219,12 +203,10 @@ def port_impedance_emf(geom):
     if geom.element != "ideal_dipole":
         raise ValueError("induced-EMF network requires ideal_dipole elements")
     # Z_c depends only on |i - j|: one vectorized call for the M - 1 lags.
-    # toeplitz(col) alone would conjugate the row into a Hermitian matrix.
     col = np.empty(geom.element_count, dtype=complex)
     col[0] = HALFWAVE_SELF_IMPEDANCE
     col[1:] = mutual_impedance_emf(geom.spacing * np.arange(1, len(col)))
-    zc = toeplitz(col, col)
-    return PortImpedanceMatrix(values=zc, self_impedance=HALFWAVE_SELF_IMPEDANCE)
+    return _toeplitz(col)
 
 
 def port_impedance_synthetic(geom):
@@ -238,9 +220,8 @@ def port_impedance_synthetic(geom):
     if geom.element != "isotropic":
         raise ValueError("synthetic network is defined for isotropic elements")
     base = z_isotropic_closed(geom).values
-    zc = HALFWAVE_SELF_IMPEDANCE.real * base + \
+    return HALFWAVE_SELF_IMPEDANCE.real * base + \
         1j * HALFWAVE_SELF_IMPEDANCE.imag * np.eye(geom.element_count)
-    return PortImpedanceMatrix(values=zc, self_impedance=HALFWAVE_SELF_IMPEDANCE)
 
 
 def port_impedance_for(geom):

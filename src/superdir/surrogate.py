@@ -14,29 +14,21 @@ import numpy as np
 
 from .coupling import CouplingMatrix, FieldMatrix
 from .geometry import default_orientation, steering_matrix
+from .impedance import HALFWAVE_SELF_IMPEDANCE
 from .linalg import condition_number, gated_solve
 
 
 @dataclass(frozen=True)
 class TerminationSpec:
-    """Load on the non-excited ports during coupled-field capture."""
+    """Load in ohms on the non-excited ports during coupled-field capture;
+    the default conjugate-matches the self impedance that both port
+    networks put on their diagonal."""
 
-    convention: str = "conjugate_match"
-    load: complex = 0.0 + 0.0j
+    load: complex = HALFWAVE_SELF_IMPEDANCE.conjugate()
 
     def __post_init__(self):
-        if self.convention not in ("conjugate_match", "self_match", "custom"):
-            raise ValueError("unknown termination convention %r" %
-                             (self.convention,))
-        if self.convention == "custom" and self.load.real < 0.0:
+        if self.load.real < 0.0:
             raise ValueError("termination load needs a non-negative real part")
-
-    def resolve(self, self_impedance):
-        if self.convention == "conjugate_match":
-            return np.conj(self_impedance)
-        if self.convention == "self_match":
-            return self_impedance
-        return self.load
 
 
 def isolated_fields(geom, grid):
@@ -52,13 +44,13 @@ def isolated_fields(geom, grid):
 def coupling_truth(zc, term=TerminationSpec()):
     """Ground-truth coupling matrix of the terminated port network.
 
-    Exciting port m with a unit source while the others are loaded with
-    Z_L induces currents (Z_c + Z_L I)^-1 applied column by column; the
-    current matrix scaled to unit mean diagonal is C_true.
+    ``zc`` is the complex (M, M) port network.  Exciting port m with a
+    unit source while the others are loaded with Z_L induces currents
+    (Z_c + Z_L I)^-1 applied column by column; the current matrix scaled
+    to unit mean diagonal is C_true.
     """
-    load = term.resolve(zc.self_impedance)
-    a = zc.values + load * np.eye(zc.size)
-    currents, _ = gated_solve(a, np.eye(zc.size, dtype=complex),
+    a = zc + term.load * np.eye(len(zc))
+    currents, _ = gated_solve(a, np.eye(len(zc), dtype=complex),
                               context="terminated port network")
     scale = np.mean(np.diag(currents))
     if scale == 0.0:
@@ -69,7 +61,7 @@ def coupling_truth(zc, term=TerminationSpec()):
 
 def coupled_fields(geom, grid, zc, term=TerminationSpec()):
     """E_c = E_s C_true, exactly, and C_true from ``coupling_truth``."""
-    if zc.size != geom.element_count:
+    if len(zc) != geom.element_count:
         raise ValueError("port network size does not match the geometry")
     c_true = coupling_truth(zc, term)
     es = isolated_fields(geom, grid)

@@ -127,6 +127,31 @@ def test_exit_codes(tmp_path):
                      "--regularize", "1e-10"]) == 0
 
 
+def test_sweep_and_pattern_reject_what_cannot_be_steered(tmp_path, capsys):
+    # inputs the sweep cannot steer or solve exit 1 naming the key
+    dipole = {"elements": 2, "spacing_wl": 0.3, "element": "ideal_dipole",
+              "steer_theta_deg": 0.0}
+    cases = [("sweep", {"sweep": {"d_min": 0.0, "d_max": 0.2, "steps": 2}},
+              "sweep needs 0 < d_min < d_max"),
+             ("sweep", {"geometry": dipole}, "geometry.steer_theta_deg: the "
+              "element radiates below -120 dB there"),
+             ("pattern", {"geometry": dict(dipole, steer_theta_deg=1e-5)},
+              "geometry.steer_theta_deg: the element radiates below -120 dB"),
+             ("sweep", {"geometry": {"elements": 3, "spacing_wl": 0.5},
+                        "sweep": {"d_min": 0.5, "d_max": 0.6, "steps": 2},
+                        "grid": {"n_theta": 2, "n_phi": 2}},
+              "non-positive radiated power; invalid impedance matrix "
+              "(grid.n_theta = 2, grid.n_phi = 2)")]
+    for number, (command, overrides, message) in enumerate(cases):
+        config = _write_config(tmp_path / ("bad%d.json" % number),
+                               **overrides)
+        capsys.readouterr()
+        assert cli.main([command, "--config", config, "--out",
+                         str(tmp_path / "x.csv"), "--regularize",
+                         "1e-12"]) == 1
+        assert "error: %s: %s" % (config, message) in capsys.readouterr().err
+
+
 def test_unknown_arguments_exit_validation(tmp_path):
     assert cli.main(["sweep", "--nope"]) == 1
     assert cli.main(["unknown-subcommand"]) == 1
@@ -198,8 +223,8 @@ def test_config_numbers_must_be_numbers(tmp_path, capsys):
     geometry = {"elements": 4, "spacing_wl": 0.3, "element": "isotropic"}
     loaded = ExperimentConfig.from_file(_write_config(
         tmp_path / "ints.json", geometry=dict(geometry, steer_phi_deg=90),
-        sweep={"d_min": 0, "d_max": 1, "steps": 4}, efficiency=1))
-    assert (loaded.d_min, loaded.d_max, loaded.efficiency) == (0.0, 1.0, 1.0)
+        sweep={"d_min": 1, "d_max": 2, "steps": 4}, efficiency=1))
+    assert (loaded.d_min, loaded.d_max, loaded.efficiency) == (1.0, 2.0, 1.0)
     assert isinstance(loaded.efficiency, float)
     cases = [({"efficiency": True}, "efficiency: must be a finite number, "
               "got True"),

@@ -66,6 +66,15 @@ def test_field_dump_manifest_grid_needs_integers(tmp_path):
             fileio.read_field_dump(manifest)
 
 
+def test_field_dump_manifest_must_be_an_object_with_file_names(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    for doc in ([], {"files": 7}, {"files": [None]}):
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="need a JSON object whose "
+                           "files is a list of file names"):
+            fileio.read_field_dump(str(manifest))
+
+
 def test_measurement_csv_roundtrip(tmp_path):
     phi = np.arange(-179.0, 181.0, 1.0)
     meas = PatternMeasurement(phi_deg=phi,
