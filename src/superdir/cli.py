@@ -163,11 +163,12 @@ def _arrays(config, spacings):
     orientation = _orientation_for(config.geometry)
     grid = sphere_grid(config.n_theta, config.n_phi)
     cut_theta, cut_phi = _cut_angles(config, orientation)
-    for d in spacings:
+    networks = impedance.port_impedance_sweep(config.geometry, spacings)
+    for d, zc in zip(spacings, networks):
         geom = replace(config.geometry, spacing=float(d))
         z = impedance.z_full(geom, grid, orientation)
         e = steering_vector(geom, config.steer, orientation)
-        c_true = surrogate.coupling_truth(impedance.port_impedance_for(geom))
+        c_true = surrogate.coupling_truth(zc)
         cut = steering_matrix(geom, cut_theta, cut_phi, orientation)
         yield geom, z, e, c_true, cut
 

@@ -12,7 +12,6 @@ configuration used for H-plane measurements.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 K = 2.0 * np.pi
 
@@ -136,6 +135,34 @@ def steering_matrix(geom, theta, phi, orientation):
     return g_theta[:, None] * np.exp(1j * K * geom.spacing * u[:, None] * m[None, :])
 
 
+def _legendre(n, x):
+    """P_n(x) and P_n'(x) from the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(2, n + 1):
+        t = x * p1
+        p0, p1 = p1, t + (k - 1) / k * (t - p0)
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+def gauss_legendre(n):
+    """Gauss-Legendre nodes, ascending, and weights on [-1, 1].
+
+    Newton's method on P_n from the guesses cos(pi (i - 1/4) / (n + 1/2)),
+    until no step exceeds 1e-15 (the steps do not shrink below the
+    nodes' own rounding, so a tighter stop may never be met), then
+    w = 2 / ((1 - x^2) P_n'(x)^2).
+    """
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    _, dp = _legendre(n, x)
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
 def sphere_grid(n_theta, n_phi):
     """Full-sphere grid: Gauss-Legendre in cos(theta) x trapezoid in phi.
 
@@ -144,7 +171,7 @@ def sphere_grid(n_theta, n_phi):
     """
     if n_theta < 2 or n_phi < 2:
         raise ValueError("sphere_grid requires n_theta >= 2 and n_phi >= 2")
-    u, w = roots_legendre(n_theta)
+    u, w = gauss_legendre(n_theta)
     theta = np.arccos(u)
     phi = -np.pi + 2.0 * np.pi * np.arange(n_phi) / n_phi
     th = np.repeat(theta, n_phi)

@@ -12,11 +12,11 @@ the classical induced-EMF closed form in sine/cosine integrals, and
 isotropic elements get a clearly-labeled synthetic network.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.special import sici
 
 from .geometry import K, gain_arrays, phase_argument
 from .linalg import condition_number, gated_solve
@@ -24,6 +24,18 @@ from .linalg import condition_number, gated_solve
 # Half-wave dipole self impedance in ohms, the standard textbook figure.
 HALFWAVE_SELF_IMPEDANCE = 73.08 + 42.21j
 FREE_SPACE_ETA = 376.730313668
+EULER_GAMMA = 0.5772156649015329
+# Si and Ci come from their power series up to this argument and from
+# the continued fraction of E1(ix) above it.
+SICI_SERIES_MAX = 4.0
+# Ci(x) + i Si(x) = gamma + ln x + sum_{n>=1} (ix)^n / (n n!), and with
+# t = x^2 that sum is t P(t) + i x Q(t).  The coefficients of P (real
+# parts) and Q (imaginary parts), highest power first; 16 terms reach
+# double precision at x = 4.
+_SICI_SERIES = [complex((-1) ** (k + 1) / ((2 * k + 2) *
+                                           math.factorial(2 * k + 2)),
+                        (-1) ** k / ((2 * k + 1) * math.factorial(2 * k + 1)))
+                for k in range(15, -1, -1)]
 
 
 @dataclass(frozen=True)
@@ -173,23 +185,65 @@ def z_from_measurements(samples):
                            self_power=1.0)
 
 
+def sici(x):
+    """Sine and cosine integrals (Si(x), Ci(x)) of x >= 0, elementwise.
+
+    The power series for x <= ``SICI_SERIES_MAX``.  Above it, E1(ix) =
+    -Ci(x) + i (Si(x) - pi/2) from its continued fraction (Numerical
+    Recipes 6.9), evaluated backward from a depth of 170/x + 5 levels,
+    which reaches double precision.  Each element's arithmetic depends
+    on its own value only, never on the rest of the array.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    si = np.empty_like(flat)
+    ci = np.empty_like(flat)
+    series = flat <= SICI_SERIES_MAX
+    small = flat[series]
+    t = small * small
+    p = np.zeros(len(t), dtype=complex)
+    for coefficient in _SICI_SERIES:
+        p = p * t + coefficient
+    si[series] = small * p.imag
+    ci[series] = EULER_GAMMA + np.log(small) + t * p.real
+    rest = ~series
+    if rest.any():
+        # Sorted by ascending x, that is by descending depth, the elements
+        # still inside their continued fraction at level n are a prefix.
+        order = np.argsort(flat[rest])
+        large = flat[rest][order]
+        z = 1j * large
+        depth = (170.0 / large).astype(int) + 5
+        f = z + (2 * depth + 1)
+        active = np.searchsorted(-depth, -np.arange(depth[0] + 1),
+                                 side="right")
+        for n in range(depth[0], 0, -1):
+            k = active[n]
+            f[:k] = z[:k] + (2 * n - 1) - n * n / f[:k]
+        e1 = np.empty_like(f)
+        e1[order] = np.exp(-z) / f
+        si[rest] = 0.5 * np.pi + e1.imag
+        ci[rest] = -e1.real
+    return si.reshape(x.shape), ci.reshape(x.shape)
+
+
 def mutual_impedance_emf(d):
     """Induced-EMF mutual impedance of parallel side-by-side dipoles.
 
     Classical closed form in sine/cosine integrals for two thin
-    half-wave dipoles separated by d wavelengths.
+    half-wave dipoles separated by d wavelengths, from one ``sici``
+    call over the three arguments.
     """
+    d = np.asarray(d, dtype=float)
     length = 0.5
-    u0 = K * d
     root = np.sqrt(d * d + length * length)
-    u1 = K * (root + length)
-    u2 = K * (root - length)
-    si0, ci0 = sici(u0)
-    si1, ci1 = sici(u1)
-    si2, ci2 = sici(u2)
+    # K (root - length) without the cancellation that rounds it to 0,
+    # and Ci to -inf, below d ~ 1e-9.
+    si, ci = sici(K * np.stack([d, root + length,
+                                d * d / (root + length)]))
     scale = FREE_SPACE_ETA / (4.0 * np.pi)
-    r = scale * (2.0 * ci0 - ci1 - ci2)
-    x = -scale * (2.0 * si0 - si1 - si2)
+    r = scale * (2.0 * ci[0] - ci[1] - ci[2])
+    x = -scale * (2.0 * si[0] - si[1] - si[2])
     return r + 1j * x
 
 
@@ -202,11 +256,17 @@ def port_impedance_emf(geom):
     """
     if geom.element != "ideal_dipole":
         raise ValueError("induced-EMF network requires ideal_dipole elements")
-    # Z_c depends only on |i - j|: one vectorized call for the M - 1 lags.
-    col = np.empty(geom.element_count, dtype=complex)
-    col[0] = HALFWAVE_SELF_IMPEDANCE
-    col[1:] = mutual_impedance_emf(geom.spacing * np.arange(1, len(col)))
-    return _toeplitz(col)
+    return _emf_networks(geom.element_count, [geom.spacing])[0]
+
+
+def _emf_networks(count, spacings):
+    """EMF networks of ``count`` dipoles at each spacing.  Z_c depends on
+    |i - j| only, so one vectorized call covers every (spacing, lag)."""
+    col = np.empty((len(spacings), count), dtype=complex)
+    col[:, 0] = HALFWAVE_SELF_IMPEDANCE
+    col[:, 1:] = mutual_impedance_emf(
+        np.multiply.outer(spacings, np.arange(1, count)))
+    return [_toeplitz(c) for c in col]
 
 
 def port_impedance_synthetic(geom):
@@ -229,3 +289,13 @@ def port_impedance_for(geom):
     if geom.element == "ideal_dipole":
         return port_impedance_emf(geom)
     return port_impedance_synthetic(geom)
+
+
+def port_impedance_sweep(geom, spacings):
+    """``port_impedance_for`` of ``geom`` at each of ``spacings``, as a
+    list.  The dipole networks share one EMF evaluation, which costs
+    about what a single network's does."""
+    if geom.element == "ideal_dipole":
+        return _emf_networks(geom.element_count, spacings)
+    return [port_impedance_synthetic(replace(geom, spacing=float(d)))
+            for d in spacings]

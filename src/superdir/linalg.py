@@ -3,11 +3,11 @@
 Matrix inverses are never formed.  Solves go through
 :func:`gated_solve`, which reports the condition number and refuses to
 proceed past a conditioning threshold unless an explicit Tikhonov
-parameter is supplied.
+parameter is supplied.  Both solvers refuse a NaN or inf in their
+inputs with ``ValueError``, which LAPACK itself does not check.
 """
 
 import numpy as np
-import scipy.linalg
 
 CONDITION_GATE = 1e12
 LSTSQ_CUTOFF = 1e-12
@@ -26,6 +26,12 @@ class ConditionGateError(RuntimeError):
             (context, condition, threshold))
 
 
+def _require_finite(*arrays):
+    for array in arrays:
+        if not np.isfinite(array).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
 def condition_number(a):
     return float(np.linalg.cond(a))
 
@@ -40,18 +46,20 @@ def gated_solve(a, b, tikhonov=None, context="matrix", condition=None):
     earlier by the caller and stands in for a new one.
     """
     a = np.asarray(a)
+    _require_finite(a, b)
     cond = condition_number(a) if condition is None else condition
     if not np.isfinite(cond) or cond > CONDITION_GATE:
         if tikhonov is None:
             raise ConditionGateError(cond, CONDITION_GATE, context)
+        _require_finite(tikhonov)
         a = a + tikhonov * np.eye(a.shape[0], dtype=a.dtype)
-    x = scipy.linalg.solve(a, b)
-    return x, cond
+    return np.linalg.solve(a, b), cond
 
 
 def lstsq_cutoff(a, b):
     """Least-squares solve with singular values below cutoff discarded."""
-    x, _, rank, sv = scipy.linalg.lstsq(a, b, cond=LSTSQ_CUTOFF)
+    _require_finite(a, b)
+    x, _, rank, sv = np.linalg.lstsq(a, b, rcond=LSTSQ_CUTOFF)
     return x, rank, sv
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -426,3 +429,30 @@ def test_acceptance_tamper_exit_code(capsys):
     assert "criterion 14" in out
     assert "FAIL" in out
     assert "13/14 criteria passed" in out
+
+
+def test_dipole_sweep_down_to_tiny_spacing(tmp_path):
+    # At d = 1e-10 the EMF network used to hold Ci(0) = -inf: LAPACK
+    # printed "DLASCL parameter number 4 had an illegal value" and the
+    # sweep exited 2.  A subprocess sees what LAPACK writes to fd 1 and 2.
+    config = _write_config(
+        tmp_path / "tiny.json",
+        geometry={"elements": 4, "spacing_wl": 0.3, "element": "ideal_dipole",
+                  "steer_theta_deg": 90.0, "steer_phi_deg": 90.0},
+        sweep={"d_min": 1e-10, "d_max": 0.5, "steps": 4},
+        grid={"n_theta": 16, "n_phi": 32})
+    out = tmp_path / "sweep.csv"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(cli.__file__))))
+    done = subprocess.run(
+        [sys.executable, "-m", "superdir.cli", "sweep", "--config", config,
+         "--regularize", "1e-12", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "illegal value" not in done.stdout + done.stderr
+    rows = fileio.read_sweep_csv(out)
+    assert len(rows) == 16 and rows[0]["spacing_wl"] == 1e-10
+    for row in rows:
+        for column, value in row.items():
+            if column not in ("method", "psll_db"):
+                assert np.isfinite(value), (column, row)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import roots_legendre
 
 from superdir.geometry import (AngularGrid, ArrayGeometry, Direction,
                                default_orientation, gain_arrays,
-                               hplane_degrees, hplane_grid, phase_argument,
-                               sphere_grid, steering_matrix, steering_vector)
+                               gauss_legendre, hplane_degrees, hplane_grid,
+                               phase_argument, sphere_grid, steering_matrix,
+                               steering_vector)
 
 
 def test_geometry_validation():
@@ -92,6 +94,24 @@ def test_sphere_grid_weights():
                     8.0 * np.pi / 3.0, rtol=1e-12)
     assert_allclose(np.sum(np.cos(grid.theta) ** 2 * grid.weight),
                     4.0 * np.pi / 3.0, rtol=1e-12)
+
+
+def test_gauss_legendre_nodes_match_scipy():
+    for n in range(2, 257):
+        x, w = gauss_legendre(n)
+        assert x.shape == w.shape == (n,)
+        assert np.max(np.abs(x - roots_legendre(n)[0])) <= \
+            np.finfo(float).eps, n
+
+
+def test_gauss_legendre_weights_integrate_even_powers():
+    # scipy's own weights are off by ~1e-12 at n = 64, so the oracle is
+    # the integral itself: int_-1^1 x^2k dx = 2 / (2k + 1), exact for
+    # 2k <= 2n - 1
+    for n in (2, 3, 8, 31, 64, 65, 128, 256):
+        x, w = gauss_legendre(n)
+        for k in range(n):
+            assert abs(w @ x ** (2 * k) - 2.0 / (2 * k + 1)) <= 1e-14, (n, k)
 
 
 def test_hplane_grid():

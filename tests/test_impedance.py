@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.linalg
+import scipy.special
 from numpy.testing import assert_allclose
 from scipy.linalg import toeplitz
 from scipy.special import j0
@@ -12,7 +12,8 @@ from superdir.geometry import (K, ArrayGeometry, gain_arrays, hplane_grid,
 from superdir import impedance, linalg
 from superdir.impedance import (HALFWAVE_SELF_IMPEDANCE, ImpedanceMatrix,
                                 mutual_impedance_emf, port_impedance_emf,
-                                port_impedance_for, port_impedance_synthetic,
+                                port_impedance_for, port_impedance_sweep,
+                                port_impedance_synthetic, sici,
                                 z_from_measurements, z_full, z_hplane,
                                 z_isotropic_closed)
 
@@ -183,7 +184,7 @@ def test_impedance_matrix_memo_follows_values():
     with pytest.raises(ValueError):  # the shared solve
         x[0] = 0.0
     assert z.condition == np.linalg.cond(z.values)
-    assert np.array_equal(x, scipy.linalg.solve(z.values, e))
+    assert np.array_equal(x, np.linalg.solve(z.values, e))
     with pytest.raises(ValueError):  # in place
         z.values[0, 1] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):  # by assignment
@@ -198,7 +199,7 @@ def test_impedance_matrix_memo_follows_values():
     for eps in (1.0, 2.0):
         assert np.array_equal(
             singular.solve(e, tikhonov=eps),
-            scipy.linalg.solve(np.ones((4, 4)) + eps * np.eye(4), e))
+            np.linalg.solve(np.ones((4, 4)) + eps * np.eye(4), e))
 
 
 def test_validate_accepts_physical_matrix():
@@ -225,6 +226,50 @@ def test_emf_close_spacing_approaches_self():
     z = mutual_impedance_emf(1e-3)
     gap = abs(z - HALFWAVE_SELF_IMPEDANCE) / abs(HALFWAVE_SELF_IMPEDANCE)
     assert gap < 0.01
+
+
+def test_sici_matches_scipy():
+    # both branches (series up to 4, continued fraction above) and the
+    # switch between them
+    x = np.logspace(-9, 3, 20001)
+    si, ci = sici(x)
+    ref_si, ref_ci = scipy.special.sici(x)
+    assert np.max(np.abs(si - ref_si)) <= 3e-15
+    assert np.max(np.abs(ci - ref_ci)) <= 3e-15
+
+
+def test_sici_is_elementwise():
+    # an element's value never depends on the rest of the array: the
+    # continued fraction's depth and order follow each element's own x
+    x = np.logspace(-9, 3, 2001)
+    si, ci = sici(x)
+    for i in range(0, len(x), 7):
+        one_si, one_ci = sici(x[i:i + 1])
+        assert one_si[0] == si[i] and one_ci[0] == ci[i]
+    grid = sici(x.reshape(23, 87))
+    assert np.array_equal(grid[0].ravel(), si)
+    assert np.array_equal(grid[1].ravel(), ci)
+
+
+def test_emf_network_finite_at_tiny_spacing():
+    # sqrt(d^2 + L^2) - L rounds to 0 below d ~ 1e-9; the network must not
+    # turn into Ci(0) = -inf
+    for d in np.logspace(-12, np.log10(0.5), 60):
+        zc = port_impedance_emf(ArrayGeometry(element_count=4, spacing=d,
+                                              element="ideal_dipole"))
+        assert np.all(np.isfinite(zc)), d
+    assert np.all(np.isfinite(mutual_impedance_emf([1e-10, 1e-9])))
+
+
+def test_port_impedance_sweep_matches_one_network_at_a_time():
+    spacings = np.linspace(0.05, 0.5, 7)
+    for element in ("ideal_dipole", "isotropic"):
+        geom = ArrayGeometry(element_count=5, spacing=0.1, element=element)
+        networks = port_impedance_sweep(geom, spacings)
+        assert len(networks) == len(spacings)
+        for d, zc in zip(spacings, networks):
+            single = port_impedance_for(dataclasses.replace(geom, spacing=d))
+            assert np.array_equal(zc, single)
 
 
 def test_port_impedance_emf_structure():

@@ -44,3 +44,27 @@ def test_singular_ratio():
     assert singular_ratio(np.zeros((2, 2))) == 0.0
     a = np.diag([4.0, 1.0])
     assert_allclose(singular_ratio(a), 0.25, rtol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solvers_refuse_non_finite_input(bad):
+    a = np.array([[2.0, 1.0], [1.0, 3.0]])
+    b = np.array([1.0, 0.0])
+    broken_a = a.copy()
+    broken_a[1, 0] = bad
+    broken_b = b.copy()
+    broken_b[1] = bad
+    for tikhonov in (None, 1e-6):
+        with pytest.raises(ValueError):
+            gated_solve(broken_a, b, tikhonov=tikhonov)
+        with pytest.raises(ValueError):
+            gated_solve(a, broken_b, tikhonov=tikhonov)
+        with pytest.raises(ValueError):  # given a condition number
+            gated_solve(broken_a, b, tikhonov=tikhonov, condition=4.0)
+    # and so is the Tikhonov epsilon
+    with pytest.raises(ValueError):
+        gated_solve(np.ones((2, 2)), b, tikhonov=bad)
+    with pytest.raises(ValueError):
+        lstsq_cutoff(broken_a, b)
+    with pytest.raises(ValueError):
+        lstsq_cutoff(a, broken_b)
