@@ -26,6 +26,11 @@ class PatternMetrics:
     psll_db: float
 
 
+class PowerError(ValueError):
+    """An excitation's power a^T Z a* came out non-positive: Z is not
+    positive definite, as when its quadrature grid is too coarse."""
+
+
 def _quadratic_form(a, z):
     """Real quadratic form a^T Z a* for real symmetric Z."""
     s = np.conj(a)
@@ -78,7 +83,7 @@ def directivity(a, e, z):
     e = np.asarray(e, dtype=complex)
     denom = _quadratic_form(a, z.values) * z.self_power
     if denom <= 0.0:
-        raise ValueError("non-positive radiated power; invalid impedance matrix")
+        raise PowerError("non-positive radiated power; invalid impedance matrix")
     num = np.abs(np.dot(a, e)) ** 2
     return float(num / denom)
 
@@ -111,7 +116,7 @@ def gain(b, c, e, z, r_loss):
     denom = (_quadratic_form(w, z.values) +
              r_loss * float(np.real(np.vdot(w, w)))) * z.self_power
     if denom <= 0.0:
-        raise ValueError("non-positive total power; invalid impedance matrix")
+        raise PowerError("non-positive total power; invalid impedance matrix")
     return float(np.abs(np.dot(w, e)) ** 2 / denom)
 
 

@@ -93,6 +93,10 @@ class ExperimentConfig:
         steps = _number(path, sweep, "sweep", "steps", fileio.integer)
         if not 0.0 < d_min < d_max:
             raise ValidationError("%s: sweep needs 0 < d_min < d_max" % (path,))
+        try:
+            replace(geom, spacing=d_min)
+        except ValueError as exc:
+            raise ValidationError("%s: sweep.d_min: %s" % (path, exc)) from exc
         if steps < 2:
             raise ValidationError("%s: sweep needs steps >= 2" % (path,))
         efficiency = _number(path, doc, "", "efficiency")
@@ -211,9 +215,11 @@ def cmd_sweep(args):
     config = _steered_config(args.config)
     try:
         rows = _sweep_rows(config, tikhonov=args.regularize)
-    except ValueError as exc:  # past the gate: a grid too coarse for Z
+    except beamforming.PowerError as exc:  # past the gate: a grid too coarse
         raise ValidationError("%s: %s (grid.n_theta = %d, grid.n_phi = %d)" % (
             args.config, exc, config.n_theta, config.n_phi)) from exc
+    except ValueError as exc:
+        raise ValidationError("%s: %s" % (args.config, exc)) from exc
     fileio.write_sweep_csv(args.out, rows)
     return 0
 
@@ -238,7 +244,7 @@ def cmd_pattern(args):
 
 def _reduced_from_fields(ec, geom, n_angles):
     if ec.grid.kind != "h_plane":
-        raise ValidationError(
+        raise ValueError(
             "--angles requires H-plane field data, got %s" % (ec.grid.kind,))
     wanted = np.rad2deg(coupling.default_reduced_angles(n_angles))
     grid_deg = np.rad2deg(ec.grid.phi)
@@ -246,7 +252,7 @@ def _reduced_from_fields(ec, geom, n_angles):
     for w in wanted:
         idx.append(int(np.argmin(np.abs(grid_deg - w))))
     if len(set(idx)) != len(idx):
-        raise ValidationError(
+        raise ValueError(
             "grid too coarse to pick %d distinct reduced angles" % (n_angles,))
     angles = np.deg2rad(grid_deg[idx])
     samples = ec.theta_rows()[idx, :]
@@ -266,12 +272,14 @@ def cmd_estimate_c(args):
         except ValueError as exc:
             raise ValidationError(
                 "%s: %s" % (args.measurements, exc)) from exc
+        source = args.measurements
     elif args.es and args.ec:
+        source = "%s and %s" % (args.es, args.ec)
         es, geom = fileio.read_field_dump(args.es)
         ec, geom_ec = fileio.read_field_dump(args.ec)
-        if (geom.element_count, geom.spacing, geom.element) != \
-                (geom_ec.element_count, geom_ec.spacing, geom_ec.element):
-            raise ValidationError("isolated and coupled dumps disagree on geometry")
+        if geom != geom_ec:
+            raise ValidationError("%s: isolated and coupled dumps disagree "
+                                  "on geometry" % (source,))
     else:
         raise ValidationError(
             "estimate-c needs either --es and --ec manifests or --measurements")
@@ -281,7 +289,7 @@ def cmd_estimate_c(args):
         else:
             c = coupling.estimate_c_full(es, ec)
     except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+        raise ValidationError("%s: %s" % (source, exc)) from exc
     fileio.write_c_json(args.out, c)
     return 0
 

@@ -83,14 +83,38 @@ DUMP_COLUMNS = ["theta_deg", "phi_deg", "e_theta_re", "e_theta_im",
 PATTERN_COLUMNS = ["phi_deg", "power_db_normalized"]
 
 
-def _write_table(path, header, columns):
+def _write_table(path, header, columns, rows=None):
     """Write equal-length float columns under a header, one %.17g cell
-    per value and CRLF line ends, as ``csv.writer`` writes them."""
+    per value and CRLF line ends, as ``csv.writer`` writes them.
+
+    ``rows`` is the text of every row with a ``%.17g`` slot per value of
+    ``columns``, for a caller that has formatted its other cells already.
+    """
     table = np.column_stack(columns).astype(float)
-    row = ",".join(["%.17g"] * len(header)) + "\r\n"
+    if rows is None:
+        rows = (",".join(["%.17g"] * len(header)) + "\r\n") * len(table)
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
-        handle.write((row * len(table)) % tuple(table.ravel().tolist()))
+        handle.write(rows % tuple(table.ravel().tolist()))
+
+
+def _check_rows(path, lines, linenos, width):
+    """Raise ValidationError naming the first body line that has not
+    ``width`` cells or has a cell outside the table grammar: ``float()``'s,
+    less digit-group underscores and non-ASCII digits."""
+    for line, lineno in zip(lines, linenos):
+        row = line.split(",")
+        if len(row) != width:
+            raise ValidationError("%s:%d: expected %d columns" %
+                                  (path, lineno, width))
+        try:
+            for cell in row:
+                if "_" in cell or not cell.strip().isascii():
+                    raise ValueError(cell)
+                float(cell)
+        except ValueError:
+            raise ValidationError(
+                "%s:%d: non-numeric value" % (path, lineno)) from None
 
 
 def _read_table(path, header):
@@ -98,32 +122,34 @@ def _read_table(path, header):
 
     Blank lines are skipped.  A wrong header, a wrong column count, a
     non-numeric or a non-finite cell raises ValidationError naming
-    ``path:line``.
+    ``path:line``.  A cell is an ASCII decimal in ``float()``'s syntax
+    (``nan`` and ``inf`` parse, then fail the finite check), without
+    digit-group underscores; ``np.loadtxt`` parses every row in one call.
     """
     try:
         with open(path) as handle:
-            lines = handle.read().split("\n")
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError("%s: %s" % (path, exc)) from exc
+    lines = text.split("\n")
     if [cell.strip() for cell in lines[0].split(",")] != header:
         raise ValidationError(
             "%s:1: expected header %s" % (path, ",".join(header)))
-    # One flat list of floats: no per-row containers for the GC to track.
-    cells, linenos = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        row = line.split(",")
-        if len(row) != len(header):
-            raise ValidationError("%s:%d: expected %d columns" %
-                                  (path, lineno, len(header)))
+    linenos = [lineno for lineno, line in enumerate(lines[1:], start=2)
+               if line.strip()]
+    lines = [lines[lineno - 1] for lineno in linenos]
+    table = np.empty((0, len(header)))
+    if lines:
         try:
-            cells.extend(map(float, row))
-        except ValueError:
-            raise ValidationError(
-                "%s:%d: non-numeric value" % (path, lineno)) from None
-        linenos.append(lineno)
-    table = np.array(cells, dtype=float).reshape(len(linenos), len(header))
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            _check_rows(path, lines, linenos, len(header))
+            raise ValidationError("%s: %s" % (path, exc)) from exc
+        # loadtxt also strips the ASCII separators \x1c-\x1f around a
+        # cell as whitespace, where float() refuses them.
+        if table.shape[1] != len(header) or \
+                any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+            _check_rows(path, lines, linenos, len(header))
     bad = ~np.isfinite(table).all(axis=1)
     if bad.any():
         raise ValidationError(
@@ -165,13 +191,18 @@ def write_field_dump(directory, fields, geom, grid_params):
     phi_deg = np.rad2deg(fields.grid.phi)
     e_theta = fields.theta_rows()
     e_phi = fields.phi_rows()
+    # Every port shares the angle cells: format them once, leaving a
+    # %.17g slot per field cell.
+    angles = np.column_stack([theta_deg, phi_deg]).ravel().tolist()
+    rows = ("%.17g,%.17g" + ",%%.17g" * 4 + "\r\n") * len(theta_deg) % \
+        tuple(angles)
     files = []
     for m in range(fields.element_count):
         name = "port_%d.csv" % (m + 1,)
         files.append(name)
         _write_table(os.path.join(directory, name), DUMP_COLUMNS,
-                     [theta_deg, phi_deg, e_theta[:, m].real,
-                      e_theta[:, m].imag, e_phi[:, m].real, e_phi[:, m].imag])
+                     [e_theta[:, m].real, e_theta[:, m].imag,
+                      e_phi[:, m].real, e_phi[:, m].imag], rows)
     manifest = {"geometry": geometry_to_dict(geom),
                 "grid": grid_params,
                 "files": files}

@@ -31,6 +31,12 @@ class ArrayGeometry:
             raise ValueError("element_count must be >= 1")
         if not self.spacing > 0.0:
             raise ValueError("spacing must be positive")
+        # Below ~1.5e-154 d*d underflows and the EMF port network, which
+        # needs d**2, loses its digits and then goes infinite.
+        if self.spacing * self.spacing < np.finfo(float).tiny:
+            raise ValueError("spacing %g is below %.5g wavelengths, where "
+                             "its square underflows" %
+                             (self.spacing, np.sqrt(np.finfo(float).tiny)))
         if self.element not in ELEMENT_KINDS:
             raise ValueError("unknown element kind %r" % (self.element,))
 

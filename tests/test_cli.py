@@ -144,7 +144,13 @@ def test_sweep_and_pattern_reject_what_cannot_be_steered(tmp_path, capsys):
                         "sweep": {"d_min": 0.5, "d_max": 0.6, "steps": 2},
                         "grid": {"n_theta": 2, "n_phi": 2}},
               "non-positive radiated power; invalid impedance matrix "
-              "(grid.n_theta = 2, grid.n_phi = 2)")]
+              "(grid.n_theta = 2, grid.n_phi = 2)"),
+             ("sweep", {"geometry": dict(dipole, steer_theta_deg=90.0),
+                        "sweep": {"d_min": 1e-200, "d_max": 0.5,
+                                  "steps": 4},
+                        "grid": {"n_theta": 16, "n_phi": 32}},
+              "sweep.d_min: spacing 1e-200 is below 1.4917e-154 "
+              "wavelengths, where its square underflows")]
     for number, (command, overrides, message) in enumerate(cases):
         config = _write_config(tmp_path / ("bad%d.json" % number),
                                **overrides)
@@ -153,6 +159,25 @@ def test_sweep_and_pattern_reject_what_cannot_be_steered(tmp_path, capsys):
                          str(tmp_path / "x.csv"), "--regularize",
                          "1e-12"]) == 1
         assert "error: %s: %s" % (config, message) in capsys.readouterr().err
+
+
+def test_only_a_power_error_blames_the_grid(tmp_path, capsys, monkeypatch):
+    # a ValueError past the config checks names the config; only the
+    # non-positive power of a Z from too coarse a grid names grid keys
+    config = _write_config(tmp_path / "config.json",
+                           grid={"n_theta": 4, "n_phi": 8,
+                                 "h_plane_step_deg": 45.0})
+
+    def broken_solve(*args, **kwargs):
+        raise ValueError("array must not contain infs or NaNs")
+
+    monkeypatch.setattr(impedance.ImpedanceMatrix, "solve", broken_solve)
+    capsys.readouterr()
+    assert cli.main(["sweep", "--config", config, "--out",
+                     str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: %s: array must not contain infs or NaNs\n" % (
+        config,)
 
 
 def test_unknown_arguments_exit_validation(tmp_path):

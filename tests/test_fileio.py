@@ -1,13 +1,18 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from superdir import fileio
-from superdir.coupling import CouplingMatrix, PatternMeasurement
+from superdir.coupling import CouplingMatrix, FieldMatrix, PatternMeasurement
 from superdir.fileio import ValidationError
-from superdir.geometry import ArrayGeometry, Direction, hplane_grid
+from superdir.geometry import (ArrayGeometry, Direction, hplane_grid,
+                               sphere_grid)
 from superdir.impedance import z_isotropic_closed
 from superdir.surrogate import isolated_fields
 
@@ -301,3 +306,168 @@ def test_serialization_is_exact(tmp_path):
     fileio.write_pattern_csv(path, phi, values)
     _, back = fileio.read_pattern_csv(path)
     assert back.tobytes() == values.tobytes()
+
+
+def _ascii_float(cell):
+    """``float()`` without digit-group underscores or non-ASCII digits."""
+    if "_" in cell or not cell.strip().isascii():
+        raise ValueError(cell)
+    return float(cell)
+
+
+def _walk_read_table(path, header, parse=float):
+    """The row-by-row reader ``fileio._read_table`` replaced, kept as its
+    reference: one ``parse`` call per cell, errors naming ``path:line``."""
+    with open(path) as handle:
+        lines = handle.read().split("\n")
+    if [cell.strip() for cell in lines[0].split(",")] != header:
+        raise ValidationError(
+            "%s:1: expected header %s" % (path, ",".join(header)))
+    cells, linenos = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        row = line.split(",")
+        if len(row) != len(header):
+            raise ValidationError("%s:%d: expected %d columns" %
+                                  (path, lineno, len(header)))
+        try:
+            cells.extend(map(parse, row))
+        except ValueError:
+            raise ValidationError(
+                "%s:%d: non-numeric value" % (path, lineno)) from None
+        linenos.append(lineno)
+    table = np.array(cells, dtype=float).reshape(len(linenos), len(header))
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        raise ValidationError(
+            "%s:%d: non-finite value" % (path, linenos[bad.argmax()]))
+    return table, linenos
+
+
+def _outcome(read, path, header, **kwargs):
+    """A reader's table as int64 bits with its line numbers, or its
+    error message."""
+    try:
+        table, linenos = read(path, header, **kwargs)
+    except ValidationError as exc:
+        return str(exc)
+    return table.shape, table.view(np.int64).tolist(), list(linenos)
+
+
+TABLE_HEADERS = [fileio.MEASUREMENT_COLUMNS, fileio.DUMP_COLUMNS,
+                 fileio.PATTERN_COLUMNS]
+
+# Exact %.17g and shortest reprs of any double, and hand-picked cells:
+# padded, signed, exponent and non-finite spellings, junk, the syntax
+# float() takes but the reader refuses (1_0, Arabic-Indic digits), and
+# the padding np.loadtxt strips but float() refuses (\x1c-\x1f).
+TABLE_CELLS = st.one_of(
+    st.floats().map(lambda x: "%.17g" % x), st.floats().map(repr),
+    st.sampled_from(["0", "-0", "+3", ".5", "1.", " 2 ", "\t7", "1e-400",
+                     "1e999", "nan", "-nan", "inf", "-Infinity", "", " ",
+                     "abc", "1e", "0x10", '"3"', "\x00", "1_0", "1__0",
+                     "_1", "\u0661", "\u0661\u0662", "\xa02", "2\u2003",
+                     "\u30002", "0\x85", "0\x1f", "\x1c1"]),
+    st.text(alphabet="0123456789.eE+-_ \t\x0b\x1c\x1f\x85", max_size=6))
+FINITE_CELLS = st.floats(allow_nan=False, allow_infinity=False).flatmap(
+    lambda x: st.sampled_from(["%.17g" % x, repr(x)]))
+
+BLANK_LINES = st.sampled_from(["", " ", "\t", " \x0c ", "\x1f", "\xa0"])
+
+
+@st.composite
+def _table_bodies(draw, header):
+    """A headed CSV body: rows of finite numbers or of any cells, near
+    the header's width, sometimes with one cell moved from a row to a
+    later one (the total cell count still matches), blank lines
+    anywhere, LF or CRLF, with or without a final line end."""
+    width = len(header)
+    rows = draw(st.lists(st.one_of(
+        st.lists(FINITE_CELLS, min_size=width, max_size=width),
+        st.integers(width - 1, width + 1).flatmap(
+            lambda n: st.lists(TABLE_CELLS, min_size=n, max_size=n))),
+        max_size=5))
+    if len(rows) >= 2 and draw(st.booleans()):
+        first, second = sorted(draw(st.lists(
+            st.integers(0, len(rows) - 1), min_size=2, max_size=2,
+            unique=True)))
+        if rows[first]:
+            rows[second].append(rows[first].pop())
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(BLANK_LINES))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join([",".join(header)] + lines) + \
+        draw(st.sampled_from(["", end]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("header", TABLE_HEADERS,
+                         ids=lambda header: header[-1])
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(data=st.data())
+def test_read_table_matches_row_walk(header, data):
+    # np.loadtxt's table, bit for bit, with the walk's line numbers and
+    # errors; float() also reads 1_0 and non-ASCII digits, which the
+    # reader refuses as non-numeric, so the walk uses _ascii_float here
+    head, width = ",".join(header), len(header)
+    body = data.draw(st.one_of(_table_bodies(header), st.sampled_from([
+        head + "\r\n",
+        # +1/-1 columns on two rows: the total cell count still matches
+        "%s\n%s\n\n%s\n" % (head, ",".join("1" * (width + 1)),
+                             ",".join("2" * (width - 1))),
+        head + "\r\n" + ",".join(["1_0"] * width),
+        head + "\r\n" + ",".join(["\u0661"] * width)])))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(body)
+        got = _outcome(fileio._read_table, path, header)
+        assert got == _outcome(_walk_read_table, path, header,
+                               parse=_ascii_float)
+        if got != _outcome(_walk_read_table, path, header):
+            assert "_" in body or not body.isascii()
+            assert got.endswith(": non-numeric value"), got
+
+
+@pytest.mark.parametrize("cell", ["1_0", "1_000.5", "\u0661",
+                                  "\u0661.\u0665", "\uff11"])
+def test_table_cells_are_ascii_decimals(tmp_path, cell):
+    # float() reads these; the table reader refuses them
+    float(cell)
+    path = tmp_path / "pattern.csv"
+    path.write_text("phi_deg,power_db_normalized\n0,0\n180,%s\n" % (cell,),
+                    encoding="utf-8")
+    with pytest.raises(ValidationError, match="pattern.csv:3: non-numeric"):
+        fileio.read_pattern_csv(path)
+
+
+@pytest.mark.parametrize("grid", [hplane_grid(45.0), sphere_grid(3, 5)],
+                         ids=["h_plane", "full_sphere"])
+@pytest.mark.parametrize("seed", range(3))
+def test_write_field_dump_matches_per_port_tables(tmp_path, grid, seed):
+    # one row template per dump gives the bytes of formatting every
+    # column of every port, for any double, signed zeros and subnormals
+    rng = np.random.default_rng(seed)
+    m_count = 3
+    parts = rng.standard_normal((2 * grid.size, 2 * m_count)) * \
+        10.0 ** rng.integers(-300, 300, (2 * grid.size, 2 * m_count))
+    specials = [-0.0, 5e-324, 1e-320, 1.7976931348623157e308,
+                -1.7976931348623157e308]
+    parts.flat[rng.choice(parts.size, len(specials), replace=False)] = \
+        specials
+    fields = FieldMatrix(values=parts[:, 0::2] + 1j * parts[:, 1::2],
+                         grid=grid)
+    geom = ArrayGeometry(element_count=m_count, spacing=0.3)
+    fileio.write_field_dump(tmp_path / "dump", fields, geom, {})
+    theta_deg, phi_deg = np.rad2deg(grid.theta), np.rad2deg(grid.phi)
+    for m in range(m_count):
+        e_theta = fields.theta_rows()[:, m]
+        e_phi = fields.phi_rows()[:, m]
+        reference = tmp_path / "reference.csv"
+        fileio._write_table(reference, fileio.DUMP_COLUMNS,
+                            [theta_deg, phi_deg, e_theta.real, e_theta.imag,
+                             e_phi.real, e_phi.imag])
+        assert (tmp_path / "dump" / ("port_%d.csv" % (m + 1,))) \
+            .read_bytes() == reference.read_bytes()

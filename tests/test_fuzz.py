@@ -1,5 +1,7 @@
 """Hypothesis fuzzing of the inputs a user hands the package: sweep config
-dicts through ``cli.main`` and CSV bodies through the table readers.
+dicts through ``cli.main``, CSV bodies through the table readers, and
+damaged dump pairs and measurement sets through ``estimate-c`` and
+``ingest``.
 
 Bad input must end in exit 1 (or 2, the condition gate) from the CLI and
 in ``ValidationError`` from a reader, never in a traceback.  The arrays
@@ -8,17 +10,23 @@ reader rejects are out of range, so no example can ask for a large run.
 """
 
 import contextlib
+import functools
 import io
 import json
 import math
 import os
 import tempfile
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superdir import cli, fileio
+from superdir.coupling import PatternMeasurement
 from superdir.fileio import ValidationError
+from superdir.geometry import ArrayGeometry, hplane_grid
+from superdir.impedance import port_impedance_for
+from superdir.surrogate import coupled_fields, isolated_fields
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=150,
                 database=None)
@@ -41,8 +49,8 @@ def _floats(low, high):
     return st.floats(low, high, allow_nan=False)
 
 
-# Per key, numbers the config reader must reject (or, for d_min, a
-# spacing so small that the condition gate trips).
+# Per key, numbers the config reader must reject (d_min = 1e-300 lies
+# below the spacing whose square underflows).
 OUT_OF_RANGE = {
     "elements": [0, -1, 2.5], "spacing_wl": [0.0, -0.1],
     "element": ["patch", "Isotropic"], "steer_theta_deg": [-1.0, 180.5],
@@ -242,3 +250,151 @@ def test_field_dump_never_tracebacks(manifest, body):
             json.dump(manifest, handle)
         _write(os.path.join(tmp, "port_1.csv"), body)
         _reads_or_rejects(fileio.read_field_dump, path)
+
+
+@functools.lru_cache(maxsize=None)
+def _pristine_inputs():
+    """{relative path: bytes} of a valid M = 2 dipole dump pair and
+    measurement set on a 30-degree H-plane cut, with their config."""
+    geom = ArrayGeometry(element_count=2, spacing=0.2, element="ideal_dipole")
+    grid = hplane_grid(30.0)
+    es = isolated_fields(geom, grid)
+    ec, _ = coupled_fields(geom, grid, port_impedance_for(geom))
+    with tempfile.TemporaryDirectory() as tmp:
+        params = {"kind": "h_plane", "step_deg": 30.0}
+        for name, fields in (("es", es), ("ec", ec)):
+            fileio.write_field_dump(os.path.join(tmp, name), fields, geom,
+                                    params)
+        os.makedirs(os.path.join(tmp, "meas"))
+        for name, fields in (("isolated", es), ("coupled", ec)):
+            rows = fields.theta_rows()
+            for m in range(geom.element_count):
+                fileio.write_measurement_csv(
+                    os.path.join(tmp, "meas", "%s_%d.csv" % (name, m + 1)),
+                    PatternMeasurement(phi_deg=np.rad2deg(grid.phi),
+                                       amplitude=np.abs(rows[:, m]) ** 2,
+                                       phase_deg=np.rad2deg(
+                                           np.angle(rows[:, m])),
+                                       antenna_index=m))
+        with open(os.path.join(tmp, "config.json"), "w") as handle:
+            json.dump({"geometry": fileio.geometry_to_dict(geom)}, handle)
+        inputs = {}
+        for folder, _, names in os.walk(tmp):
+            for name in names:
+                path = os.path.join(folder, name)
+                with open(path, "rb") as handle:
+                    inputs[os.path.relpath(path, tmp)] = handle.read()
+    return inputs
+
+
+# Per command, its arguments ({} is the input root) and the files it reads.
+COMMANDS = {
+    "dumps": (["estimate-c", "--es", "{}/es/manifest.json",
+               "--ec", "{}/ec/manifest.json"], ("es/", "ec/")),
+    "measurements": (["estimate-c", "--measurements", "{}/meas",
+                      "--config", "{}/config.json"],
+                     ("meas/", "config.json")),
+    "ingest": (["ingest", "--measurements", "{}/meas",
+                "--config", "{}/config.json"], ("meas/", "config.json")),
+}
+
+# Replacement cells: junk, numbers outside the data's range, and the
+# syntax the table reader refuses (digit-group underscores, non-ASCII).
+DAMAGED_CELLS = st.one_of(
+    CELLS, st.sampled_from(["-0", "1e308", "-1e308", "5e-324", "0.5",
+                            "361", "-180", "\u0661", "1e-320"]),
+    st.floats(allow_nan=False).map(repr))
+
+# Values a manifest or config entry may be set to: junk, and valid
+# values that disagree with the rest of the input.
+ENTRY_VALUES = st.one_of(
+    JUNK, st.sampled_from([1, 3, 0.3, 0.2000000001, "isotropic",
+                           "full_sphere", 90.0, 7.0, ["port_1.csv"],
+                           ["port_2.csv", "port_1.csv"],
+                           ["missing.csv", "port_2.csv"]]))
+
+
+def _damage_table(data, text):
+    """``text`` with one cell or one row of its body changed."""
+    lines = text.split("\r\n")
+    row = data.draw(st.integers(1, len(lines) - 2))
+    cells = lines[row].split(",")
+    kind = data.draw(st.sampled_from(["cell", "drop", "duplicate", "swap",
+                                      "blank", "extra cell", "lost cell"]))
+    if kind == "cell":
+        cells[data.draw(st.integers(0, len(cells) - 1))] = \
+            data.draw(DAMAGED_CELLS)
+        lines[row] = ",".join(cells)
+    elif kind == "drop":
+        del lines[row]
+    elif kind == "duplicate":
+        lines.insert(row, lines[row])
+    elif kind == "swap":
+        other = data.draw(st.integers(1, len(lines) - 2))
+        lines[row], lines[other] = lines[other], lines[row]
+    elif kind == "blank":
+        lines[row] = data.draw(st.sampled_from(["", " ", "\t"]))
+    elif kind == "extra cell":
+        lines[row] += "," + data.draw(DAMAGED_CELLS)
+    else:
+        lines[row] = ",".join(cells[:-1])
+    return "\r\n".join(lines)
+
+
+def _damage_json(data, text):
+    """``text`` with one entry of its JSON document changed or dropped."""
+    doc = json.loads(text)
+    keys = [(section, key) for section in sorted(doc)
+            if isinstance(doc[section], dict)
+            for key in sorted(doc[section])]
+    keys += [(key, None) for key in sorted(doc)]
+    section, key = data.draw(st.sampled_from(keys))
+    parent, name = (doc, section) if key is None else (doc[section], key)
+    if data.draw(st.booleans()):
+        del parent[name]
+    else:
+        parent[name] = data.draw(ENTRY_VALUES)
+    return json.dumps(doc)
+
+
+@FUZZ
+@given(command=st.sampled_from(sorted(COMMANDS)),
+       angles=st.sampled_from([None, 1, 2, 4]), data=st.data())
+def test_estimate_c_and_ingest_never_traceback(command, angles, data):
+    argv, reads = COMMANDS[command]
+    inputs = _pristine_inputs()
+    target = data.draw(st.sampled_from(sorted(
+        name for name in inputs if name.startswith(reads))))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, body in inputs.items():
+            if name == target:
+                damage = _damage_json if name.endswith(".json") \
+                    else _damage_table
+                body = damage(data, body.decode()).encode()
+            path = os.path.join(tmp, name)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as handle:
+                handle.write(body)
+        args = [arg.format(tmp) for arg in argv]
+        args += ["--out", os.path.join(tmp, "out")]
+        if angles is not None and command != "ingest":
+            args += ["--angles", str(angles)]
+        with _stderr() as err:
+            code = cli.main(args)
+        assert code in (0, 1), err.getvalue()
+        if code:
+            # the last line; numpy may print an overflow warning above it
+            message = err.getvalue().splitlines()[-1]
+            assert message.startswith("error: "), err.getvalue()
+            assert os.path.dirname(os.path.join(tmp, target)) in message, \
+                (target, message)
+            return
+        # no silently wrong output: every written cell is finite
+        for name in os.listdir(tmp):
+            if name.startswith("out"):
+                with open(os.path.join(tmp, name)) as handle:
+                    doc = json.load(handle)
+                cells = doc.get("values",
+                                doc.get("re", []) + doc.get("im", []))
+                assert all(math.isfinite(x) for row in cells for x in row), \
+                    (name, doc)

@@ -17,6 +17,13 @@ def test_geometry_validation():
         ArrayGeometry(element_count=2, spacing=-0.1)
     with pytest.raises(ValueError):
         ArrayGeometry(element_count=2, spacing=0.3, element="patch")
+    # the smallest spacing is the one whose square is still a normal double
+    floor = np.sqrt(np.finfo(float).tiny)
+    ArrayGeometry(element_count=2, spacing=floor)
+    for spacing in (np.nextafter(floor, 0.0), 1e-160, 5e-324):
+        with pytest.raises(ValueError, match="below 1.4917e-154 wavelengths, "
+                           "where its square underflows"):
+            ArrayGeometry(element_count=2, spacing=spacing)
 
 
 def test_direction_validation():

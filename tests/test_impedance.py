@@ -259,6 +259,13 @@ def test_emf_network_finite_at_tiny_spacing():
                                               element="ideal_dipole"))
         assert np.all(np.isfinite(zc)), d
     assert np.all(np.isfinite(mutual_impedance_emf([1e-10, 1e-9])))
+    # at the smallest spacing a geometry takes (d*d the smallest normal
+    # double) the network is still the d -> 0 limit; below it d*d
+    # underflowed and R went wrong in the 5th digit, then infinite
+    limit = [port_impedance_emf(ArrayGeometry(element_count=4, spacing=d,
+                                              element="ideal_dipole"))
+             for d in (np.sqrt(np.finfo(float).tiny), 1e-100)]
+    assert_allclose(limit[0], limit[1], rtol=1e-12)
 
 
 def test_port_impedance_sweep_matches_one_network_at_a_time():
