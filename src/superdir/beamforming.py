@@ -78,19 +78,18 @@ def synthesize(method, z, e, c, tikhonov=None):
     raise ValueError("unknown synthesis method %r" % (method,))
 
 
-def directivity(a, e, z):
-    """Rayleigh-quotient directivity of excitation a toward e."""
+def directivity(w, e, z, r_loss=0.0):
+    """Rayleigh-quotient directivity of the effective currents w = C b
+    toward e; a normalized loss resistance ``r_loss`` adds the ohmic
+    loss r_loss |w|^2 to the radiated power and gives the gain."""
+    if r_loss < 0.0:
+        raise ValueError("loss resistance must be non-negative")
     e = np.asarray(e, dtype=complex)
-    denom = _quadratic_form(a, z.values) * z.self_power
+    denom = (_quadratic_form(w, z.values) +
+             r_loss * float(np.real(np.vdot(w, w)))) * z.self_power
     if denom <= 0.0:
         raise PowerError("non-positive radiated power; invalid impedance matrix")
-    num = np.abs(np.dot(a, e)) ** 2
-    return float(num / denom)
-
-
-def directivity_coupled(b, c, e, z):
-    """Directivity with the effective excitation Cb."""
-    return directivity(c @ b, e, z)
+    return float(np.abs(np.dot(w, e)) ** 2 / denom)
 
 
 def max_directivity(z, e, tikhonov=None):
@@ -105,19 +104,6 @@ def loss_resistance(eta):
     if not 0.0 < eta <= 1.0:
         raise ValueError("radiation efficiency must lie in (0, 1]")
     return (1.0 - eta) / eta
-
-
-def gain(b, c, e, z, r_loss):
-    """Gain: directivity with ohmic loss added to the radiated power."""
-    if r_loss < 0.0:
-        raise ValueError("loss resistance must be non-negative")
-    w = c @ b
-    e = np.asarray(e, dtype=complex)
-    denom = (_quadratic_form(w, z.values) +
-             r_loss * float(np.real(np.vdot(w, w)))) * z.self_power
-    if denom <= 0.0:
-        raise PowerError("non-positive total power; invalid impedance matrix")
-    return float(np.abs(np.dot(w, e)) ** 2 / denom)
 
 
 def power_decomposition(z, e, r_loss):
@@ -137,11 +123,6 @@ def power_decomposition(z, e, r_loss):
     p_rad = float(np.sum(np.abs(w) ** 2 / lam))
     p_loss = float(r_loss * np.sum(np.abs(w) ** 2 / lam ** 2))
     return p_rad, p_loss
-
-
-def delta_d(a, c, e, z):
-    """Directivity degradation D_theory - D_actual of one excitation."""
-    return directivity(a, e, z) - directivity_coupled(a, c, e, z)
 
 
 def delta_f_from_patterns(f_theory, f_actual):

@@ -39,10 +39,10 @@ CONFIG_KEYS = {
 
 def _section(path, doc, name):
     """Config section ``name`` as a dict whose keys are all known."""
-    section = doc.get(name, {}) if name else doc
+    section = fileio.read_section(doc, name, path) if name else doc
     if not isinstance(section, dict):
-        raise ValidationError("%s: %s must be a JSON object" %
-                              (path, name or "the config"))
+        raise ValidationError("%s: the config must be a JSON object" %
+                              (path,))
     for key in section:
         if key not in CONFIG_KEYS[name]:
             raise ValidationError("%s: unknown key %s; valid keys: %s" % (
@@ -136,37 +136,26 @@ def _steered_config(path):
     return config
 
 
-def _orientation_for(geom):
-    """Dipole arrays run in the measurement (in-plane) configuration."""
-    return "in_plane" if geom.element == "ideal_dipole" else "axial"
-
-
-def _cut_angles(config, orientation):
-    """(theta, phi) arrays of the full-circle cut at the config's step."""
+def _cut(config):
+    """(orientation, theta, phi, steer angle in degrees) of the config's
+    full-circle cut.  Dipole arrays run in the measurement (in-plane)
+    configuration, cut in the theta = pi/2 plane and steered in phi;
+    other arrays are cut through their axis and steered in theta."""
     psi = np.deg2rad(hplane_degrees(config.h_plane_step_deg))
-    if orientation == "in_plane":
-        theta = np.full(len(psi), np.pi / 2)
-        phi = psi
-    else:
-        theta = np.abs(psi)
-        opposite = config.steer.phi + np.pi if config.steer.phi <= 0.0 \
-            else config.steer.phi - np.pi
-        phi = np.where(psi >= 0.0, config.steer.phi, opposite)
-    return theta, phi
-
-
-def _steer_cut_angle(config, orientation):
-    if orientation == "in_plane":
-        return float(np.rad2deg(config.steer.phi))
-    return float(np.rad2deg(config.steer.theta))
+    steer = config.steer
+    if config.geometry.element == "ideal_dipole":
+        return ("in_plane", np.full(len(psi), np.pi / 2), psi,
+                float(np.rad2deg(steer.phi)))
+    opposite = steer.phi + np.pi if steer.phi <= 0.0 else steer.phi - np.pi
+    return ("axial", np.abs(psi), np.where(psi >= 0.0, steer.phi, opposite),
+            float(np.rad2deg(steer.theta)))
 
 
 def _arrays(config, spacings):
     """Yield (geometry, Z, steering vector, ground-truth C as a
     CouplingMatrix, cut matrix) of the configured array at each spacing."""
-    orientation = _orientation_for(config.geometry)
+    orientation, cut_theta, cut_phi, _ = _cut(config)
     grid = sphere_grid(config.n_theta, config.n_phi)
-    cut_theta, cut_phi = _cut_angles(config, orientation)
     networks = impedance.port_impedance_sweep(config.geometry, spacings)
     for d, zc in zip(spacings, networks):
         geom = replace(config.geometry, spacing=float(d))
@@ -178,10 +167,9 @@ def _arrays(config, spacings):
 
 
 def _sweep_rows(config, tikhonov=None):
-    orientation = _orientation_for(config.geometry)
     r_loss = beamforming.loss_resistance(config.efficiency)
     psi_deg = hplane_degrees(config.h_plane_step_deg)
-    steer_deg = _steer_cut_angle(config, orientation)
+    steer_deg = _cut(config)[3]
     spacings = np.linspace(config.d_min, config.d_max, config.steps)
     rows = []
     for geom, z, e, c_true, cut in _arrays(config, spacings):
@@ -191,15 +179,13 @@ def _sweep_rows(config, tikhonov=None):
         for method in config.methods:
             a, c_eval = beamforming.synthesize(method, z, e, c_true.values,
                                                tikhonov=tikhonov)
-            if method == "theoretical":
-                direct = d_max
-            else:
-                direct = beamforming.directivity_coupled(a, c_eval, e, z)
-            g = beamforming.gain(a, c_eval, e, z, r_loss)
-            dd = beamforming.delta_d(a, c_eval, e, z)
-            field_th = cut @ a
-            field_ac = cut @ (c_eval @ a)
-            df = beamforming.delta_f_from_patterns(field_th, field_ac)
+            w = c_eval @ a
+            d_w = beamforming.directivity(w, e, z)
+            direct = d_max if method == "theoretical" else d_w
+            g = beamforming.directivity(w, e, z, r_loss)
+            dd = beamforming.directivity(a, e, z) - d_w
+            field_ac = cut @ w
+            df = beamforming.delta_f_from_patterns(cut @ a, field_ac)
             power = np.abs(field_ac) ** 2
             metrics = beamforming.pattern_metrics(power, psi_deg, steer_deg)
             rows.append({"spacing_wl": geom.spacing, "method": method,

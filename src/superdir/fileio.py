@@ -55,6 +55,16 @@ def read_value(doc, key, read, context, default=None):
         raise ValidationError("%s: %s: %s" % (context, key, exc)) from exc
 
 
+def read_section(doc, name, context):
+    """Section ``name`` of the JSON object ``doc``, ``{}`` when absent; a
+    section that is not a JSON object raises ValidationError naming
+    ``context: name``."""
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ValidationError("%s: %s must be a JSON object" % (context, name))
+    return section
+
+
 def geometry_from_dict(doc, context="config"):
     """Build (ArrayGeometry, steer Direction) from the geometry JSON."""
     elements = read_value(doc, "geometry.elements", integer, context)
@@ -214,7 +224,7 @@ def write_field_dump(directory, fields, geom, grid_params):
 
 
 def _grid_from_params(params, context):
-    kind = params.get("kind") if isinstance(params, dict) else None
+    kind = params.get("kind")
     try:
         if kind == "full_sphere":
             return sphere_grid(
@@ -242,8 +252,10 @@ def read_field_dump(manifest_path):
     if not (isinstance(files, list) and all(isinstance(f, str) for f in files)):
         raise ValidationError("%s: need a JSON object whose files is a list "
                               "of file names" % (manifest_path,))
-    geom, _ = geometry_from_dict(manifest.get("geometry", {}), manifest_path)
-    grid = _grid_from_params(manifest.get("grid", {}), manifest_path)
+    geom, _ = geometry_from_dict(
+        read_section(manifest, "geometry", manifest_path), manifest_path)
+    grid = _grid_from_params(read_section(manifest, "grid", manifest_path),
+                             manifest_path)
     if len(files) != geom.element_count:
         raise ValidationError(
             "%s: expected %d port files, found %d" %
@@ -281,19 +293,36 @@ def write_c_json(path, c):
 
 
 def read_c_json(path):
+    """CouplingMatrix of a C JSON as ``write_c_json`` writes it: ``m`` an
+    integer, ``re`` and ``im`` m x m lists of finite numbers, and the
+    optional ``condition`` and ``residual`` finite numbers.  Anything
+    else raises ValidationError naming ``path``."""
     try:
         with open(path) as handle:
             doc = json.load(handle)
-        values = np.asarray(doc["re"], dtype=float) + \
-            1j * np.asarray(doc["im"], dtype=float)
-        if values.shape != (int(doc["m"]), int(doc["m"])):
-            raise ValueError("matrix shape disagrees with m")
-        return CouplingMatrix(values=values,
-                              condition=float(doc.get("condition", "nan")),
-                              residual=float(doc.get("residual", 0.0)))
-    except (OSError, KeyError, TypeError, ValueError,
-            json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError("%s: %s" % (path, exc)) from exc
+    if not isinstance(doc, dict):
+        raise ValidationError("%s: need a JSON object" % (path,))
+    m = read_value(doc, "m", integer, path)
+    if m < 1:
+        raise ValidationError("%s: m must be >= 1, got %d" % (path, m))
+    parts = []
+    for key in ("re", "im"):
+        rows = doc.get(key)
+        if not (isinstance(rows, list) and len(rows) == m and
+                all(isinstance(row, list) and len(row) == m
+                    for row in rows)):
+            raise ValidationError("%s: %s must be an m x m list (m = %d)" %
+                                  (path, key, m))
+        try:
+            parts.append(np.array([[number(v) for v in row]
+                                   for row in rows]))
+        except (OverflowError, ValueError) as exc:
+            raise ValidationError("%s: %s: %s" % (path, key, exc)) from exc
+    extra = {key: read_value(doc, key, number, path)
+             for key in ("condition", "residual") if key in doc}
+    return CouplingMatrix(values=parts[0] + 1j * parts[1], **extra)
 
 
 def write_z_json(path, z):

@@ -13,7 +13,7 @@ isotropic elements get a clearly-labeled synthetic network.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -89,10 +89,18 @@ class ImpedanceMatrix:
 
 def _normalize(raw):
     """z_ij = raw_ij / sqrt(raw_ii raw_jj) of a real Gram matrix,
-    symmetrized, with a unit diagonal."""
+    symmetrized, with a unit diagonal.  A Gram matrix or a product
+    raw_ii raw_jj that is not a finite normal double raises ValueError:
+    z_ij would come out 0, infinite or short of digits."""
     power = np.diag(raw).copy()
-    if power.min() <= 0.0:
+    low, high = float(power.min()), float(power.max())
+    if low <= 0.0:
         raise ValueError("non-positive self term in impedance computation")
+    # every product p_i p_j lies between low^2 and high^2
+    if not (np.isfinite(raw).all() and low * low >= np.finfo(float).tiny
+            and high * high < math.inf):
+        raise ValueError("impedance normalization leaves the double range: "
+                         "self terms from %.3g to %.3g" % (low, high))
     z = raw / np.sqrt(np.outer(power, power))
     z = 0.5 * (z + z.T)
     np.fill_diagonal(z, 1.0)
@@ -181,8 +189,9 @@ def z_from_measurements(samples):
     symmetric phi grids).
     """
     e = np.asarray(samples, dtype=complex)
-    return ImpedanceMatrix(values=_normalize(np.real(e.conj().T @ e)),
-                           self_power=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # _normalize checks
+        raw = np.real(e.conj().T @ e)
+    return ImpedanceMatrix(values=_normalize(raw), self_power=1.0)
 
 
 def sici(x):
@@ -247,55 +256,33 @@ def mutual_impedance_emf(d):
     return r + 1j * x
 
 
-def port_impedance_emf(geom):
-    """Complex port network of a half-wave dipole array.
+def port_impedance_sweep(geom, spacings):
+    """Complex symmetric (M, M) port network of ``geom``'s elements at
+    each of ``spacings``, as a list.  Z_c depends on |i - j| only, so
+    one lag column per spacing fills it, with the half-wave self
+    impedance on the diagonal.
 
-    Diagonal pinned to the textbook self impedance; off-diagonal terms
-    from the induced-EMF closed form, which approaches the self value as
-    the spacing goes to zero.
+    Dipoles get the induced-EMF closed form, from one
+    ``mutual_impedance_emf`` call over every (spacing, lag); it
+    approaches the self value as the spacing goes to zero.  Isotropic
+    elements get a synthetic network, not a physical model: the
+    resistive part scales the isotropic pattern Gram sinc(k d |i - j|)
+    to the half-wave self resistance and the reactance sits on the
+    diagonal only.  It exists so coupling estimation runs on both
+    element kinds.
     """
-    if geom.element != "ideal_dipole":
-        raise ValueError("induced-EMF network requires ideal_dipole elements")
-    return _emf_networks(geom.element_count, [geom.spacing])[0]
-
-
-def _emf_networks(count, spacings):
-    """EMF networks of ``count`` dipoles at each spacing.  Z_c depends on
-    |i - j| only, so one vectorized call covers every (spacing, lag)."""
-    col = np.empty((len(spacings), count), dtype=complex)
+    spacings = np.asarray(spacings, dtype=float)
+    lags = np.arange(1, geom.element_count)
+    col = np.empty((len(spacings), geom.element_count), dtype=complex)
+    if geom.element == "ideal_dipole":
+        col[:, 1:] = mutual_impedance_emf(np.multiply.outer(spacings, lags))
+    else:
+        col[:, 1:] = HALFWAVE_SELF_IMPEDANCE.real * np.sinc(
+            np.multiply.outer(K * spacings, lags) / np.pi)
     col[:, 0] = HALFWAVE_SELF_IMPEDANCE
-    col[:, 1:] = mutual_impedance_emf(
-        np.multiply.outer(spacings, np.arange(1, count)))
     return [_toeplitz(c) for c in col]
 
 
-def port_impedance_synthetic(geom):
-    """Synthetic port network for isotropic elements.
-
-    Not a physical model: the resistive part scales the isotropic
-    pattern Gram to the half-wave self resistance and the reactance sits
-    on the diagonal only.  It exists so coupling-estimation tests run on
-    both element kinds.
-    """
-    if geom.element != "isotropic":
-        raise ValueError("synthetic network is defined for isotropic elements")
-    base = z_isotropic_closed(geom).values
-    return HALFWAVE_SELF_IMPEDANCE.real * base + \
-        1j * HALFWAVE_SELF_IMPEDANCE.imag * np.eye(geom.element_count)
-
-
 def port_impedance_for(geom):
-    """Dispatch to the dipole EMF network or the synthetic isotropic one."""
-    if geom.element == "ideal_dipole":
-        return port_impedance_emf(geom)
-    return port_impedance_synthetic(geom)
-
-
-def port_impedance_sweep(geom, spacings):
-    """``port_impedance_for`` of ``geom`` at each of ``spacings``, as a
-    list.  The dipole networks share one EMF evaluation, which costs
-    about what a single network's does."""
-    if geom.element == "ideal_dipole":
-        return _emf_networks(geom.element_count, spacings)
-    return [port_impedance_synthetic(replace(geom, spacing=float(d)))
-            for d in spacings]
+    """The port network of ``geom`` at its own spacing."""
+    return port_impedance_sweep(geom, [geom.spacing])[0]

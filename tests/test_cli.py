@@ -387,6 +387,29 @@ def test_ingest_weights_each_element_by_its_own_amplitude(tmp_path, gain):
     assert_allclose(np.diag(z), 1.0)
 
 
+def test_ingest_refuses_fields_whose_z_leaves_the_double_range(tmp_path,
+                                                                capsys):
+    # fields of 1e99 are finite, but the product of two element powers
+    # overflows; the Z written was z_12 = 0
+    geom, _, es, ec, _ = _dump_surrogate(tmp_path, m_count=2)
+    scale = 1e99
+    directory = _write_measurements(
+        tmp_path, geom,
+        coupling.FieldMatrix(values=scale * es.values, grid=es.grid),
+        coupling.FieldMatrix(values=scale * ec.values, grid=ec.grid))
+    config = _write_config(tmp_path / "config.json",
+                           geometry=fileio.geometry_to_dict(geom))
+    capsys.readouterr()
+    assert cli.main(["ingest", "--measurements", str(directory),
+                     "--config", config,
+                     "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: impedance normalization leaves the "
+                          "double range" % (directory,))
+    assert "Traceback" not in err and "Warning" not in err
+    assert not (tmp_path / "run_z.json").exists()
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf"])
 def test_non_finite_inputs_exit_1(tmp_path, capsys, cell):
     geom, _, es, ec, _ = _dump_surrogate(tmp_path)

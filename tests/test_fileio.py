@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -78,6 +79,22 @@ def test_field_dump_manifest_must_be_an_object_with_file_names(tmp_path):
         with pytest.raises(ValidationError, match="need a JSON object whose "
                            "files is a list of file names"):
             fileio.read_field_dump(str(manifest))
+
+
+def test_field_dump_manifest_sections_must_be_objects(tmp_path):
+    geom = ArrayGeometry(element_count=2, spacing=0.3)
+    manifest = fileio.write_field_dump(
+        tmp_path / "dump", isolated_fields(geom, hplane_grid(2.0)), geom,
+        {"kind": "h_plane", "step_deg": 2.0})
+    good = json.loads(open(manifest).read())
+    for key in ("geometry", "grid"):
+        for value in (None, 5, [1], "h_plane"):
+            with open(manifest, "w") as handle:
+                json.dump(dict(good, **{key: value}), handle)
+            with pytest.raises(ValidationError) as caught:
+                fileio.read_field_dump(manifest)
+            assert str(caught.value) == "%s: %s must be a JSON object" % (
+                manifest, key)
 
 
 def test_measurement_csv_roundtrip(tmp_path):
@@ -232,6 +249,31 @@ def test_c_json_shape_check(tmp_path):
     path.write_text(json.dumps({"m": 3, "re": [[1.0]], "im": [[0.0]]}))
     with pytest.raises(ValidationError):
         fileio.read_c_json(path)
+
+
+def test_c_json_refuses_what_the_other_readers_refuse(tmp_path):
+    # m is read as the config integers are, and every cell, condition and
+    # residual as the config numbers are; each refusal names the path
+    path = tmp_path / "c.json"
+    good = {"m": 1, "re": [[1.0]], "im": [[2.0]], "condition": 3.0,
+            "residual": 0.0}
+    path.write_text(json.dumps(good))
+    assert fileio.read_c_json(path).values[0, 0] == 1 + 2j
+    bad = [{"re": [[True]]}, {"im": [["2"]]}, {"re": [[None]]},
+           {"im": [[float("nan")]]}, {"re": [[float("inf")]]},
+           {"re": [[10 ** 400]]}, {"condition": "inf"},
+           {"condition": float("nan")}, {"residual": False},
+           {"residual": "0"}, {"m": 1.5}, {"m": True}, {"m": "1"},
+           {"m": 0, "re": [], "im": []}, {"re": [1.0]}, {"im": [[1.0, 2.0]]},
+           {"re": 1.0}, {"m": 2}]
+    for change in bad:
+        path.write_text(json.dumps(dict(good, **change)))
+        with pytest.raises(ValidationError, match="^" + re.escape("%s: " % (path,))):
+            fileio.read_c_json(path)
+    for doc in ("[]", "null", "{"):
+        path.write_text(doc)
+        with pytest.raises(ValidationError, match="^" + re.escape("%s: " % (path,))):
+            fileio.read_c_json(path)
 
 
 def test_z_json_contents(tmp_path):

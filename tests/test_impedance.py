@@ -11,11 +11,11 @@ from superdir.geometry import (K, ArrayGeometry, gain_arrays, hplane_grid,
                                phase_argument, sphere_grid)
 from superdir import impedance, linalg
 from superdir.impedance import (HALFWAVE_SELF_IMPEDANCE, ImpedanceMatrix,
-                                mutual_impedance_emf, port_impedance_emf,
-                                port_impedance_for, port_impedance_sweep,
-                                port_impedance_synthetic, sici,
+                                mutual_impedance_emf, port_impedance_for,
+                                port_impedance_sweep, sici,
                                 z_from_measurements, z_full, z_hplane,
                                 z_isotropic_closed)
+from superdir.surrogate import isolated_fields
 
 
 def z_hplane_closed(geom):
@@ -255,14 +255,14 @@ def test_emf_network_finite_at_tiny_spacing():
     # sqrt(d^2 + L^2) - L rounds to 0 below d ~ 1e-9; the network must not
     # turn into Ci(0) = -inf
     for d in np.logspace(-12, np.log10(0.5), 60):
-        zc = port_impedance_emf(ArrayGeometry(element_count=4, spacing=d,
+        zc = port_impedance_for(ArrayGeometry(element_count=4, spacing=d,
                                               element="ideal_dipole"))
         assert np.all(np.isfinite(zc)), d
     assert np.all(np.isfinite(mutual_impedance_emf([1e-10, 1e-9])))
     # at the smallest spacing a geometry takes (d*d the smallest normal
     # double) the network is still the d -> 0 limit; below it d*d
     # underflowed and R went wrong in the 5th digit, then infinite
-    limit = [port_impedance_emf(ArrayGeometry(element_count=4, spacing=d,
+    limit = [port_impedance_for(ArrayGeometry(element_count=4, spacing=d,
                                               element="ideal_dipole"))
              for d in (np.sqrt(np.finfo(float).tiny), 1e-100)]
     assert_allclose(limit[0], limit[1], rtol=1e-12)
@@ -282,22 +282,20 @@ def test_port_impedance_sweep_matches_one_network_at_a_time():
 def test_port_impedance_emf_structure():
     geom = ArrayGeometry(element_count=3, spacing=0.4,
                          element="ideal_dipole")
-    zc = port_impedance_emf(geom)
+    zc = port_impedance_for(geom)
     assert zc.shape == (3, 3) and zc.dtype == complex
     assert np.array_equal(np.diag(zc), np.full(3, HALFWAVE_SELF_IMPEDANCE))
     assert_allclose(zc, zc.T)
     assert_allclose(zc[0, 1], mutual_impedance_emf(0.4))
-    single = port_impedance_emf(ArrayGeometry(element_count=1, spacing=0.4,
+    single = port_impedance_for(ArrayGeometry(element_count=1, spacing=0.4,
                                               element="ideal_dipole"))
     assert_allclose(single, [[HALFWAVE_SELF_IMPEDANCE]])
-    with pytest.raises(ValueError):
-        port_impedance_emf(ArrayGeometry(element_count=3, spacing=0.4))
 
 
 def test_port_impedance_emf_is_symmetric_toeplitz():
     geom = ArrayGeometry(element_count=5, spacing=0.13,
                          element="ideal_dipole")
-    zc = port_impedance_emf(geom)
+    zc = port_impedance_for(geom)
     # symmetric, not Hermitian: the reactances are not conjugated
     assert np.array_equal(zc, zc.T)
     assert not np.allclose(zc, zc.conj().T)
@@ -309,23 +307,26 @@ def test_port_impedance_emf_is_symmetric_toeplitz():
 
 def test_port_impedance_synthetic_structure():
     geom = ArrayGeometry(element_count=3, spacing=0.25)
-    zc = port_impedance_synthetic(geom)
+    zc = port_impedance_for(geom)
     assert np.array_equal(np.diag(zc), np.full(3, HALFWAVE_SELF_IMPEDANCE))
     assert_allclose(zc[0, 1],
                     HALFWAVE_SELF_IMPEDANCE.real * 0.6366197723675814,
                     rtol=1e-12)
-    with pytest.raises(ValueError):
-        port_impedance_synthetic(ArrayGeometry(element_count=3, spacing=0.25,
-                                               element="ideal_dipole"))
 
 
 def test_port_impedance_dispatch():
     iso = ArrayGeometry(element_count=2, spacing=0.3)
     dip = ArrayGeometry(element_count=2, spacing=0.3,
                         element="ideal_dipole")
-    assert np.array_equal(port_impedance_for(iso),
-                          port_impedance_synthetic(iso))
-    assert np.array_equal(port_impedance_for(dip), port_impedance_emf(dip))
+    # each element kind gets its own network, bit for bit as written out
+    # from the sinc Gram and from the EMF closed form
+    synthetic = HALFWAVE_SELF_IMPEDANCE.real * z_isotropic_closed(iso).values \
+        + 1j * HALFWAVE_SELF_IMPEDANCE.imag * np.eye(2)
+    assert np.array_equal(port_impedance_for(iso), synthetic)
+    mutual = mutual_impedance_emf(np.array([0.3]))[0]
+    emf = np.array([[HALFWAVE_SELF_IMPEDANCE, mutual],
+                    [mutual, HALFWAVE_SELF_IMPEDANCE]])
+    assert np.array_equal(port_impedance_for(dip), emf)
 
 
 def test_z_from_measurements_recovers_hplane():
@@ -359,3 +360,20 @@ def test_z_from_measurements_ignores_element_gain():
     with pytest.raises(ValueError, match="non-positive self term"):
         z_from_measurements(np.column_stack([e1, 0.0 * e1]))
 
+
+def test_z_from_measurements_refuses_fields_out_of_range():
+    # z_ij = Re(E_i^H E_j) / sqrt(p_i p_j) must not depend on the fields'
+    # scale; where p_i p_j or the Gram matrix leaves the normal doubles
+    # it would come out 0 (overflow), infinite or short of digits
+    # (underflow), so the scale is refused instead
+    e = isolated_fields(ArrayGeometry(element_count=2, spacing=0.1),
+                        hplane_grid(30.0)).theta_rows()
+    z = z_from_measurements(e).values
+    for scale in (1e-60, 1e50):
+        assert_allclose(z_from_measurements(scale * e).values, z,
+                        rtol=1e-14)
+    for scale in (1e99, 1e154, 1e160, 1e-80, 1e-99):
+        with np.errstate(over="ignore", under="ignore"):
+            scaled = scale * e
+        with pytest.raises(ValueError, match="leaves the double range"):
+            z_from_measurements(scaled)

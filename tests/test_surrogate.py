@@ -4,8 +4,7 @@ from numpy.testing import assert_allclose
 
 from superdir.geometry import (ArrayGeometry, Direction, hplane_grid,
                                sphere_grid, steering_vector)
-from superdir.impedance import (HALFWAVE_SELF_IMPEDANCE, port_impedance_for,
-                                port_impedance_synthetic)
+from superdir.impedance import HALFWAVE_SELF_IMPEDANCE, port_impedance_for
 from superdir.coupling import FieldMatrix
 from superdir.surrogate import (TerminationSpec, coupled_fields,
                                 coupling_truth, isolated_fields)
@@ -97,7 +96,7 @@ def test_coupled_fields_identity_at_weak_coupling():
     # a nearly diagonal port network leaves the patterns untouched
     geom = ArrayGeometry(element_count=3, spacing=7.25)
     grid = hplane_grid(5.0)
-    _, c = coupled_fields(geom, grid, port_impedance_synthetic(geom),
+    _, c = coupled_fields(geom, grid, port_impedance_for(geom),
                           TerminationSpec())
     assert np.max(np.abs(c.values - np.eye(3))) < 0.02
 
