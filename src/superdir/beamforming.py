@@ -61,21 +61,21 @@ def proposed_vector(c, z, e, tikhonov=None):
 
 
 def synthesize(method, z, e, c, tikhonov=None):
-    """Excitation of one method and the coupling matrix (an (M, M)
-    array, as ``c`` is) it radiates through.
+    """Unit-norm excitation ``a`` of one method and the effective currents
+    w = C a it radiates, for the coupling matrix ``c`` as an (M, M) array.
 
-    ``theoretical`` is the traditional excitation without field coupling
-    (C = I), the array the bound e^H Z^-1 e describes.
+    ``theoretical`` is the traditional excitation on the uncoupled array
+    (C = I) that the bound e^H Z^-1 e describes, so its ``w`` is ``a``.
     """
     if method == "mrt":
-        return mrt_vector(e), c
-    if method == "traditional":
-        return traditional_vector(z, e, tikhonov=tikhonov), c
-    if method == "proposed":
-        return proposed_vector(c, z, e, tikhonov=tikhonov), c
-    if method == "theoretical":
-        return traditional_vector(z, e, tikhonov=tikhonov), np.eye(len(e))
-    raise ValueError("unknown synthesis method %r" % (method,))
+        a = mrt_vector(e)
+    elif method in ("traditional", "theoretical"):
+        a = traditional_vector(z, e, tikhonov=tikhonov)
+    elif method == "proposed":
+        a = proposed_vector(c, z, e, tikhonov=tikhonov)
+    else:
+        raise ValueError("unknown synthesis method %r" % (method,))
+    return a, (a if method == "theoretical" else c @ a)
 
 
 def directivity(w, e, z, r_loss=0.0):

@@ -177,9 +177,8 @@ def _sweep_rows(config, tikhonov=None):
         cond_c = float(c_true.condition)
         d_max = beamforming.max_directivity(z, e, tikhonov=tikhonov)
         for method in config.methods:
-            a, c_eval = beamforming.synthesize(method, z, e, c_true.values,
-                                               tikhonov=tikhonov)
-            w = c_eval @ a
+            a, w = beamforming.synthesize(method, z, e, c_true.values,
+                                          tikhonov=tikhonov)
             d_w = beamforming.directivity(w, e, z)
             direct = d_max if method == "theoretical" else d_w
             g = beamforming.directivity(w, e, z, r_loss)
@@ -216,9 +215,9 @@ def cmd_pattern(args):
     _, z, e, c_true, cut = next(_arrays(config, [config.geometry.spacing]))
     root, ext = os.path.splitext(args.out)
     for method in config.methods:
-        a, c_eval = beamforming.synthesize(method, z, e, c_true.values,
-                                           tikhonov=args.regularize)
-        power = np.abs(cut @ (c_eval @ a)) ** 2
+        _, w = beamforming.synthesize(method, z, e, c_true.values,
+                                      tikhonov=args.regularize)
+        power = np.abs(cut @ w) ** 2
         peak = power.max()
         if peak <= 0.0:
             raise ValidationError("all-zero pattern for method %s" % (method,))
@@ -249,15 +248,8 @@ def cmd_estimate_c(args):
     if args.measurements:
         if not args.config:
             raise ValidationError("--measurements requires --config for geometry")
-        config = ExperimentConfig.from_file(args.config)
-        geom = config.geometry
-        isolated, coupled = _read_measurement_sets(args.measurements, geom)
-        try:
-            es = coupling.fields_from_measurements(isolated, args.amplitude)
-            ec = coupling.fields_from_measurements(coupled, args.amplitude)
-        except ValueError as exc:
-            raise ValidationError(
-                "%s: %s" % (args.measurements, exc)) from exc
+        geom = ExperimentConfig.from_file(args.config).geometry
+        es, ec = _measured_fields(args, geom)
         source = args.measurements
     elif args.es and args.ec:
         source = "%s and %s" % (args.es, args.ec)
@@ -270,7 +262,7 @@ def cmd_estimate_c(args):
         raise ValidationError(
             "estimate-c needs either --es and --ec manifests or --measurements")
     try:
-        if args.angles:
+        if args.angles is not None:
             c = _reduced_from_fields(ec, geom, args.angles)
         else:
             c = coupling.estimate_c_full(es, ec)
@@ -280,27 +272,32 @@ def cmd_estimate_c(args):
     return 0
 
 
-def _read_measurement_sets(directory, geom):
-    sets = []
+def _measured_fields(args, geom):
+    """(E_s, E_c) of the isolated_*.csv and coupled_*.csv files in
+    ``args.measurements``, read with ``args.amplitude``."""
+    directory = args.measurements
+    fields = []
     for prefix in ("isolated", "coupled"):
         paths = sorted(glob.glob(os.path.join(directory, prefix + "_*.csv")))
         if len(paths) != geom.element_count:
             raise ValidationError(
                 "%s: expected %d %s_*.csv files, found %d" %
                 (directory, geom.element_count, prefix, len(paths)))
-        sets.append([fileio.read_measurement_csv(path, antenna_index=i)
-                     for i, path in enumerate(paths)])
-    return sets[0], sets[1]
+        measurements = [fileio.read_measurement_csv(path, antenna_index=i)
+                        for i, path in enumerate(paths)]
+        try:
+            fields.append(coupling.fields_from_measurements(
+                measurements, args.amplitude))
+        except ValueError as exc:
+            raise ValidationError("%s: %s" % (directory, exc)) from exc
+    return tuple(fields)
 
 
 def cmd_ingest(args):
-    config = ExperimentConfig.from_file(args.config)
-    geom = config.geometry
-    isolated, coupled = _read_measurement_sets(args.measurements, geom)
+    geom = ExperimentConfig.from_file(args.config).geometry
+    es, ec = _measured_fields(args, geom)
     try:
-        es = coupling.fields_from_measurements(isolated, args.amplitude)
         z = impedance.z_from_measurements(es.theta_rows())
-        ec = coupling.fields_from_measurements(coupled, args.amplitude)
         c = coupling.estimate_c_full(es, ec)
     except ValueError as exc:
         raise ValidationError("%s: %s" % (args.measurements, exc)) from exc
@@ -324,6 +321,21 @@ def cmd_acceptance(args):
     return 0 if failures == 0 else 3
 
 
+def _positive(kind, noun):
+    """argparse type: a ``kind`` value in (0, inf), else exit 1 naming the
+    flag and saying it must be ``noun`` > 0."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(
+                "must be %s > 0, got %r" % (noun, text))
+        return value
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValidationError(message)
@@ -344,7 +356,8 @@ def build_parser():
         p.add_argument("--config", required=True,
                        help="experiment config JSON")
         p.add_argument("--out", required=True, help="output path (or prefix)")
-        p.add_argument("--regularize", type=float, default=None,
+        p.add_argument("--regularize", default=None,
+                       type=_positive(float, "a finite number"),
                        help="Tikhonov epsilon for gated solves")
         p.set_defaults(func=func)
     p = sub.add_parser("estimate-c", parents=[amplitude],
@@ -355,7 +368,8 @@ def build_parser():
     p.add_argument("--es", help="manifest JSON of isolated fields")
     p.add_argument("--ec", help="manifest JSON of coupled fields")
     p.add_argument("--measurements", help="directory of measurement CSVs")
-    p.add_argument("--angles", type=int, default=None,
+    p.add_argument("--angles", type=_positive(int, "an integer"),
+                   default=None,
                    help="reduced-angle solve with this many azimuths")
     p.set_defaults(func=cmd_estimate_c)
     p = sub.add_parser("ingest", parents=[amplitude],

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import AngularGrid, steering_matrix
-from .linalg import condition_number, gated_solve, lstsq_cutoff, singular_ratio
+from .linalg import condition_number, lstsq_cutoff, singular_ratio
 
 RANK_GATE = 1e-6
 CONDITION_FLAG = 1e10
@@ -79,13 +79,9 @@ class PatternMeasurement:
             raise ValueError("measurement amplitude must be non-negative")
 
 
-def estimate_c_full(es, ec, solver="svd"):
-    """Least-squares estimate of C from full sampled fields.
-
-    ``solver`` picks the algorithmic path: "svd" (orthogonal
-    factorization with singular-value cutoff) or "normal" (normal
-    equations), kept as an independent cross-check of uniqueness.
-    """
+def estimate_c_full(es, ec):
+    """Least-squares estimate of C from full sampled fields, by an
+    orthogonal factorization with singular-value cutoff."""
     if not es.grid.same_points(ec.grid):
         raise ValueError("isolated and coupled fields use different grids")
     if es.values.shape != ec.values.shape:
@@ -95,24 +91,24 @@ def estimate_c_full(es, ec, solver="svd"):
         raise ValueError(
             "isolated field matrix is rank deficient "
             "(singular value ratio %.3e)" % (ratio,))
-    if solver == "svd":
-        c, _, _ = lstsq_cutoff(es.values, ec.values)
-    elif solver == "normal":
-        gram = es.values.conj().T @ es.values
-        rhs = es.values.conj().T @ ec.values
-        c, _ = gated_solve(gram, rhs, context="normal equations")
-    else:
-        raise ValueError("unknown solver %r" % (solver,))
+    c, _, _ = lstsq_cutoff(es.values, ec.values)
     return _estimate(c, es.values, ec.values)
 
 
 def _estimate(c, design, samples):
     """``c`` as a CouplingMatrix, with its condition number and the
-    relative residual ||design c - samples|| / ||samples||."""
+    relative residual ||design c - samples|| / ||samples||.  A ``c``
+    whose condition number is not finite (a coupled field that is zero)
+    raises ValueError: it cannot be written as JSON."""
+    condition = condition_number(c)
+    if not np.isfinite(condition):
+        raise ValueError("estimated coupling matrix is singular (condition "
+                         "number %g); is a coupled field zero?" %
+                         (condition,))
     res = np.linalg.norm(design @ c - samples)
     denom = np.linalg.norm(samples)
     residual = float(res / denom) if denom > 0.0 else float(res)
-    return CouplingMatrix(values=c, condition=condition_number(c),
+    return CouplingMatrix(values=c, condition=condition,
                           residual=residual)
 
 

@@ -349,33 +349,6 @@ def write_sweep_csv(path, rows):
                              for col in SWEEP_COLUMNS])
 
 
-def read_sweep_csv(path):
-    """Rows of a sweep CSV as dicts; ``nan`` cells are legal (``psll_db``
-    of a single-lobe cut).  Errors raise ValidationError naming
-    ``path:line``, or ``path`` for a file that cannot be read."""
-    try:
-        with open(path, newline="") as handle:
-            table = list(csv.reader(handle))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ValidationError("%s: %s" % (path, exc)) from exc
-    if not table or table[0] != SWEEP_COLUMNS:
-        raise ValidationError("%s:1: bad sweep header" % (path,))
-    rows = []
-    for lineno, row in enumerate(table[1:], start=2):
-        if len(row) != len(SWEEP_COLUMNS):
-            raise ValidationError("%s:%d: wrong column count" % (path, lineno))
-        try:
-            rows.append({col: value if col == "method" else float(value)
-                         for col, value in zip(SWEEP_COLUMNS, row)})
-        except ValueError:
-            raise ValidationError(
-                "%s:%d: non-numeric value" % (path, lineno)) from None
-    return rows
-
-
 def write_pattern_csv(path, phi_deg, power_db):
     _write_table(path, PATTERN_COLUMNS, [phi_deg, power_db])
 
-
-def read_pattern_csv(path):
-    return tuple(_read_table(path, PATTERN_COLUMNS)[0].T.copy())

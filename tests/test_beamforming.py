@@ -8,13 +8,13 @@ from superdir.beamforming import (DELTA_F_FLOOR_DB, delta_f_from_patterns,
                                   loss_resistance, max_directivity,
                                   mrt_vector, pattern_metrics,
                                   power_decomposition, proposed_vector,
-                                  traditional_vector)
+                                  synthesize, traditional_vector)
 from superdir.geometry import (ArrayGeometry, Direction, hplane_grid,
                                sphere_grid, steering_matrix, steering_vector)
 from superdir.impedance import (ImpedanceMatrix, port_impedance_for,
                                 z_full, z_isotropic_closed)
 from superdir.linalg import ConditionGateError
-from superdir.surrogate import TerminationSpec, coupled_fields
+from superdir.surrogate import TerminationSpec, coupled_fields, coupling_truth
 
 ENDFIRE = Direction(theta=0.0, phi=0.0)
 
@@ -118,6 +118,27 @@ def test_coupled_ordering_tight_spacing():
     d_prop = directivity(c @ proposed_vector(c, z, e), e, z)
     assert d_trad < d_prop
     assert d_mrt < d_prop
+
+
+def test_synthesize_returns_excitation_and_effective_currents():
+    # w = C a, bit for bit, except theoretical's uncoupled w = a
+    geom = ArrayGeometry(element_count=4, spacing=0.15,
+                         element="ideal_dipole")
+    z = z_full(geom, sphere_grid(32, 64), "in_plane")
+    e = steering_vector(geom, Direction(theta=np.pi / 2, phi=np.pi / 2),
+                        "in_plane")
+    c = coupling_truth(port_impedance_for(geom)).values
+    excitations = {"mrt": mrt_vector(e),
+                   "traditional": traditional_vector(z, e),
+                   "proposed": proposed_vector(c, z, e),
+                   "theoretical": traditional_vector(z, e)}
+    for method, expected in excitations.items():
+        a, w = synthesize(method, z, e, c)
+        assert a.tobytes() == expected.tobytes(), method
+        currents = a if method == "theoretical" else c @ a
+        assert w.tobytes() == currents.tobytes(), method
+    with pytest.raises(ValueError, match="unknown synthesis method 'zf'"):
+        synthesize("zf", z, e, c)
 
 
 def test_delta_d_sign_and_zero():

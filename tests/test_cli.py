@@ -15,6 +15,8 @@ from superdir.geometry import ArrayGeometry, hplane_grid
 from superdir.impedance import port_impedance_for
 from superdir.surrogate import TerminationSpec, coupled_fields, isolated_fields
 
+from tables import read_pattern, read_sweep
+
 
 def _write_config(path, **overrides):
     doc = {"geometry": {"elements": 4, "spacing_wl": 0.3,
@@ -54,7 +56,7 @@ def test_sweep_writes_all_methods(tmp_path):
     config = _write_config(tmp_path / "config.json")
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--config", config, "--out", str(out)]) == 0
-    rows = fileio.read_sweep_csv(out)
+    rows = read_sweep(out)
     assert len(rows) == 4 * 4
     methods = {row["method"] for row in rows}
     assert methods == {"mrt", "traditional", "proposed", "theoretical"}
@@ -109,7 +111,7 @@ def test_pattern_files_per_method(tmp_path):
     out = tmp_path / "cut.csv"
     assert cli.main(["pattern", "--config", config, "--out", str(out)]) == 0
     for method in ("mrt", "traditional", "proposed", "theoretical"):
-        phi, db = fileio.read_pattern_csv(tmp_path / ("cut_%s.csv" % method))
+        phi, db = read_pattern(tmp_path / ("cut_%s.csv" % method))
         assert len(phi) == 360
         assert db.max() == 0.0
         assert db.min() >= -300.0
@@ -128,6 +130,21 @@ def test_exit_codes(tmp_path):
     assert cli.main(["sweep", "--config", config, "--out", str(out)]) == 2
     assert cli.main(["sweep", "--config", config, "--out", str(out),
                      "--regularize", "1e-10"]) == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_regularize_must_be_finite_and_positive(tmp_path, capsys, value):
+    # the flag, not the config, is at fault; an epsilon <= 0 would solve
+    # with Z - |eps| I, which can be indefinite
+    config = _write_config(tmp_path / "config.json")
+    for command in ("sweep", "pattern"):
+        capsys.readouterr()
+        assert cli.main([command, "--config", config, "--out",
+                         str(tmp_path / "x.csv"), "--regularize", value]) == 1
+        assert capsys.readouterr().err == (
+            "error: argument --regularize: must be a finite number > 0, "
+            "got %r\n" % (value,))
+    assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_sweep_and_pattern_reject_what_cannot_be_steered(tmp_path, capsys):
@@ -197,7 +214,7 @@ def test_h_plane_step_deg(tmp_path, capsys):
                                  "h_plane_step_deg": 5.0})
     assert cli.main(["pattern", "--config", config,
                      "--out", str(tmp_path / "cut.csv")]) == 0
-    phi, _ = fileio.read_pattern_csv(tmp_path / "cut_mrt.csv")
+    phi, _ = read_pattern(tmp_path / "cut_mrt.csv")
     assert len(phi) == 72
     capsys.readouterr()
     # 7 does not divide 360; 120, 180 and 360 leave fewer than 4 cut points
@@ -315,6 +332,23 @@ def test_estimate_c_reduced_angles(tmp_path):
                      "--es", str(tmp_path / "es" / "manifest.json"),
                      "--ec", str(tmp_path / "ec" / "manifest.json"),
                      "--angles", "1", "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_angles_must_be_a_positive_integer(tmp_path, capsys, value):
+    # 0 is a count of angles, not an absent flag, and -2 is no fault of
+    # the dumps
+    _dump_surrogate(tmp_path, m_count=2)
+    out = tmp_path / "c.json"
+    capsys.readouterr()
+    assert cli.main(["estimate-c",
+                     "--es", str(tmp_path / "es" / "manifest.json"),
+                     "--ec", str(tmp_path / "ec" / "manifest.json"),
+                     "--angles", value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: argument --angles: must be an integer > 0, got %r\n" %
+        (value,))
+    assert not out.exists()
 
 
 def _write_measurements(tmp_path, geom, es, ec):
@@ -439,6 +473,35 @@ def test_non_finite_inputs_exit_1(tmp_path, capsys, cell):
         assert "Traceback" not in err
 
 
+def test_zero_coupled_fields_exit_1_naming_the_inputs(tmp_path, capsys):
+    # C = 0 has condition inf, which JSON cannot hold: the file would
+    # say Infinity, which read_c_json refuses
+    geom, grid, es, _, _ = _dump_surrogate(tmp_path, m_count=2)
+    zero = coupling.FieldMatrix(values=np.zeros_like(es.values), grid=grid)
+    fileio.write_field_dump(tmp_path / "ec", zero, geom,
+                            {"kind": "h_plane", "step_deg": 1.0})
+    directory = _write_measurements(tmp_path, geom, es, zero)
+    config = _write_config(tmp_path / "config.json",
+                           geometry=fileio.geometry_to_dict(geom))
+    manifests = [str(tmp_path / name / "manifest.json")
+                 for name in ("es", "ec")]
+    dumps = ["estimate-c", "--es", manifests[0], "--ec", manifests[1]]
+    measured = ["--measurements", str(directory), "--config", config]
+    for argv, source in (
+            (dumps, " and ".join(manifests)),
+            (dumps + ["--angles", "1"], " and ".join(manifests)),
+            (["estimate-c"] + measured, str(directory)),
+            (["ingest"] + measured, str(directory))):
+        capsys.readouterr()
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: estimated coupling matrix is "
+                              "singular (condition number inf)" % (source,)), \
+            err
+    assert not [path for path in tmp_path.iterdir()
+                if path.name.startswith("out")]
+
+
 def test_measurement_phi_grid_must_be_uniform(tmp_path, capsys):
     geom, _, es, ec, _ = _dump_surrogate(tmp_path)
     directory = _write_measurements(tmp_path, geom, es, ec)
@@ -498,7 +561,7 @@ def test_dipole_sweep_down_to_tiny_spacing(tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "illegal value" not in done.stdout + done.stderr
-    rows = fileio.read_sweep_csv(out)
+    rows = read_sweep(out)
     assert len(rows) == 16 and rows[0]["spacing_wl"] == 1e-10
     for row in rows:
         for column, value in row.items():

@@ -10,6 +10,7 @@ from superdir.coupling import (CouplingMatrix, FieldMatrix,
 from superdir.geometry import (ArrayGeometry, hplane_grid, sphere_grid,
                                steering_matrix)
 from superdir.impedance import port_impedance_for
+from superdir.linalg import gated_solve
 from superdir.surrogate import TerminationSpec, coupled_fields, isolated_fields
 
 
@@ -33,13 +34,24 @@ def test_full_estimation_recovers_truth():
 
 
 def test_solver_paths_agree():
+    # the normal equations reach the least-squares C by another path
     grid = sphere_grid(32, 64)
     _, es, ec, _ = _surrogate_pair(4, 0.15, grid)
-    c_svd = estimate_c_full(es, ec, solver="svd")
-    c_normal = estimate_c_full(es, ec, solver="normal")
-    assert_allclose(c_svd.values, c_normal.values, atol=1e-9)
-    with pytest.raises(ValueError):
-        estimate_c_full(es, ec, solver="qr")
+    c_svd = estimate_c_full(es, ec)
+    c_normal, _ = gated_solve(es.values.conj().T @ es.values,
+                              es.values.conj().T @ ec.values)
+    assert_allclose(c_svd.values, c_normal, atol=1e-9)
+
+
+@pytest.mark.parametrize("ports", [[0], [0, 1]], ids=["one", "all"])
+def test_zero_coupled_field_is_refused(ports):
+    # a port that radiates nothing leaves C singular, and its condition
+    # number inf cannot be written as JSON
+    grid = hplane_grid(30.0)
+    _, es, ec, _ = _surrogate_pair(2, 0.2, grid)
+    ec.values[:, ports] = 0.0
+    with pytest.raises(ValueError, match="singular"):
+        estimate_c_full(es, ec)
 
 
 def test_estimation_rejects_mismatched_grids():

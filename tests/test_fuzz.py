@@ -28,6 +28,8 @@ from superdir.geometry import ArrayGeometry, hplane_grid
 from superdir.impedance import port_impedance_for
 from superdir.surrogate import coupled_fields, isolated_fields
 
+from tables import read_sweep
+
 FUZZ = settings(derandomize=True, deadline=None, max_examples=150,
                 database=None)
 
@@ -115,9 +117,15 @@ def _stderr():
     assert "Traceback" not in buffer.getvalue(), buffer.getvalue()
 
 
-@settings(FUZZ, max_examples=300)
+# --regularize values the parser refuses: not a number, not finite or
+# not above 0.
+BAD_EPSILONS = ["abc", "nan", "inf", "0", "-1"]
+
+
+@settings(FUZZ, max_examples=400)
 @given(doc=_configs(),
-       regularize=st.sampled_from([None, "1e-12", "abc"]))
+       regularize=st.one_of(st.sampled_from([None, "1e-12"]),
+                            st.sampled_from(BAD_EPSILONS)))
 @example(doc=TINY, regularize=None)
 @example(doc=dict(TINY, sweep={"d_min": -0.1, "d_max": 0.2, "steps": 2}),
          regularize=None)
@@ -147,11 +155,14 @@ def test_sweep_config_never_tracebacks(doc, regularize):
         with _stderr() as err:
             code = cli.main(argv)
         assert code in (0, 1, 2)
+        if regularize in BAD_EPSILONS:
+            assert code == 1 and "--regularize" in err.getvalue(), \
+                err.getvalue()
         if code:
             assert err.getvalue().startswith("error: "), err.getvalue()
             return
         # no silently wrong output: only a single-lobe cut's psll is NaN
-        for row in fileio.read_sweep_csv(out):
+        for row in read_sweep(out):
             assert all(math.isfinite(value) for key, value in row.items()
                        if key not in ("method", "psll_db")), row
 
@@ -204,15 +215,6 @@ def test_measurement_csv_never_tracebacks(body):
         path = os.path.join(tmp, "isolated_1.csv")
         _write(path, body)
         _reads_or_rejects(fileio.read_measurement_csv, path)
-
-
-@FUZZ
-@given(body=_bodies(fileio.SWEEP_COLUMNS))
-def test_sweep_csv_never_tracebacks(body):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "sweep.csv")
-        _write(path, body)
-        _reads_or_rejects(fileio.read_sweep_csv, path)
 
 
 MANIFEST = {"geometry": {"elements": 1, "spacing_wl": 0.2},
@@ -315,13 +317,24 @@ ENTRY_VALUES = st.one_of(
 
 
 def _damage_table(data, text):
-    """``text`` with one cell or one row of its body changed."""
+    """``text`` with one cell or one row of its body changed, or with
+    every field cell of its body set to 0 (a port that radiates
+    nothing)."""
     lines = text.split("\r\n")
     row = data.draw(st.integers(1, len(lines) - 2))
     cells = lines[row].split(",")
     kind = data.draw(st.sampled_from(["cell", "drop", "duplicate", "swap",
-                                      "blank", "extra cell", "lost cell"]))
-    if kind == "cell":
+                                      "blank", "extra cell", "lost cell",
+                                      "zero"]))
+    if kind == "zero":
+        fields = [i for i, name in enumerate(lines[0].split(","))
+                  if not name.endswith("_deg")]
+        for row in range(1, len(lines) - 1):
+            cells = lines[row].split(",")
+            for i in fields:
+                cells[i] = "0"
+            lines[row] = ",".join(cells)
+    elif kind == "cell":
         cells[data.draw(st.integers(0, len(cells) - 1))] = \
             data.draw(DAMAGED_CELLS)
         lines[row] = ",".join(cells)
@@ -389,12 +402,16 @@ def test_estimate_c_and_ingest_never_traceback(command, angles, data):
             assert os.path.dirname(os.path.join(tmp, target)) in message, \
                 (target, message)
             return
-        # no silently wrong output: every written cell is finite
+        # no silently wrong output: every written cell is finite, and a
+        # written C reads back
         for name in os.listdir(tmp):
             if name.startswith("out"):
-                with open(os.path.join(tmp, name)) as handle:
+                path = os.path.join(tmp, name)
+                with open(path) as handle:
                     doc = json.load(handle)
                 cells = doc.get("values",
                                 doc.get("re", []) + doc.get("im", []))
                 assert all(math.isfinite(x) for row in cells for x in row), \
                     (name, doc)
+                if not name.endswith("_z.json"):
+                    fileio.read_c_json(path)

@@ -47,7 +47,7 @@ LAYERS = (
     ("cli", ("beamforming", "coupling", "fileio", "geometry", "impedance",
              "linalg", "surrogate")),
     ("acceptance", ("beamforming", "cli", "coupling", "geometry",
-                    "impedance", "surrogate")),
+                    "impedance", "linalg", "surrogate")),
     ("__init__", ("beamforming", "coupling", "geometry", "impedance",
                   "linalg", "surrogate")),
 )
