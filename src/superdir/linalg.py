@@ -3,8 +3,8 @@
 Matrix inverses are never formed.  Solves go through
 :func:`gated_solve`, which reports the condition number and refuses to
 proceed past a conditioning threshold unless an explicit Tikhonov
-parameter is supplied.  ``gated_solve`` and ``lstsq_cutoff`` refuse a
-NaN or inf in their inputs with ``ValueError``, which LAPACK itself does not check.
+parameter is supplied.  Solves and least squares refuse a NaN or inf
+in their inputs with ``ValueError``, which LAPACK itself does not check.
 """
 
 import numpy as np
