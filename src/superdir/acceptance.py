@@ -17,7 +17,7 @@ import numpy as np
 from . import beamforming, cli, coupling, impedance, surrogate
 from .geometry import (ArrayGeometry, Direction, hplane_grid, sphere_grid,
                        steering_matrix, steering_vector)
-from .linalg import gated_solve
+from .linalg import gated_solve, singular_ratio
 
 SWEEP_SPACINGS = (0.5, 0.4, 0.3, 0.2, 0.1)
 
@@ -55,16 +55,21 @@ def _geom(m_count, spacing, element):
 
 
 @lru_cache(maxsize=None)
-def _surrogate(m_count, spacing, element):
-    """(E_c, C_true) on the default sphere grid."""
-    geom = _geom(m_count, spacing, element)
-    return surrogate.coupled_fields(geom, _grid(),
-                                    impedance.port_impedance_for(geom))
-
-
 def _c_true(geom):
-    """Ground-truth C as an array, without the fields of ``_surrogate``."""
+    """Ground-truth C of ``geom`` as an (M, M) array."""
     return surrogate.coupling_truth(impedance.port_impedance_for(geom)).values
+
+
+def _fields(m_count, spacing, element, grid):
+    """(geometry, E_s, E_c = E_s C_true, C_true) of the array on ``grid``.
+
+    Not cached: kept field matrices would dominate the suite's memory.
+    """
+    geom = _geom(m_count, spacing, element)
+    es = surrogate.isolated_fields(geom, grid)
+    c_true = _c_true(geom)
+    return geom, es, coupling.FieldMatrix(values=es.values @ c_true,
+                                          grid=grid), c_true
 
 
 @lru_cache(maxsize=None)
@@ -139,25 +144,14 @@ def criterion_4(tamper=False):
     worst = 0.0
     for m_count in (2, 4, 8):
         for d in (0.1, 0.2, 0.3):
-            geom = _geom(m_count, d, "ideal_dipole")
-            es = surrogate.isolated_fields(geom, _grid())
-            ec, c_true = _surrogate(m_count, d, "ideal_dipole")
+            _, es, ec, c_true = _fields(m_count, d, "ideal_dipole", _grid())
             c_est = coupling.estimate_c_full(es, ec)
-            gap = np.linalg.norm(c_est.values - c_true.values) / \
-                np.linalg.norm(c_true.values)
+            gap = np.linalg.norm(c_est.values - c_true) / \
+                np.linalg.norm(c_true)
             worst = max(worst, float(gap))
     return _result(4, "c_recovery_oracle", worst, 1e-8,
                    "worst Frobenius relative error %.2e <= 1e-8" % (worst,),
                    tamper)
-
-
-def _reduced_setup(m_count, d):
-    geom = _geom(m_count, d, "ideal_dipole")
-    c_true = _c_true(geom)
-    es_h = surrogate.isolated_fields(geom, _hgrid())
-    ec_h = coupling.FieldMatrix(values=es_h.values @ c_true, grid=_hgrid())
-    c_full = coupling.estimate_c_full(es_h, ec_h)
-    return geom, c_true, c_full
 
 
 def _reduced_samples(geom, c_true, angles):
@@ -171,7 +165,9 @@ def criterion_5(tamper=False):
     worst = 0.0
     details = []
     for m_count in (4, 8):
-        geom, c_true, c_full = _reduced_setup(m_count, 0.3)
+        geom, es_h, ec_h, c_true = _fields(m_count, 0.3, "ideal_dipole",
+                                           _hgrid())
+        c_full = coupling.estimate_c_full(es_h, ec_h)
         angles = coupling.default_reduced_angles(m_count // 2)
         c_red = coupling.estimate_c_reduced(
             _reduced_samples(geom, c_true, angles), angles, geom)
@@ -201,12 +197,8 @@ def criterion_5(tamper=False):
         _reduced_samples(geom3, c3, three), three, geom3)
     gap3 = np.linalg.norm(c3_red.values - c3) / np.linalg.norm(c3)
     worst = max(worst, float(gap3) / 1e-6)
-    # pattern from the 4-angle estimate, M=8, d=0.3
-    geom, z, e, c_true = _dipole_setup(8, 0.3)
-    _, _, c_full = _reduced_setup(8, 0.3)
-    angles = coupling.default_reduced_angles(4)
-    c_red = coupling.estimate_c_reduced(
-        _reduced_samples(geom, c_true, angles), angles, geom)
+    # pattern from the loop's last estimates: M=8, d=0.3, 4 angles
+    _, z, e, _ = _dipole_setup(8, 0.3)
     phi = _hgrid().phi
     cut = steering_matrix(geom, np.full(len(phi), np.pi / 2), phi, "in_plane")
     db = []
@@ -227,12 +219,10 @@ def criterion_6(tamper=False):
     for element in ("isotropic", "ideal_dipole"):
         for m_count in (2, 4, 8):
             for d in (0.1, 0.3):
-                geom = _geom(m_count, d, element)
-                es = surrogate.isolated_fields(geom, _grid())
-                ec, c_true = _surrogate(m_count, d, element)
+                _, es, ec, c_true = _fields(m_count, d, element, _grid())
                 c_est = coupling.estimate_c_full(es, ec)
                 worst = max(worst,
-                            coupling.column_symmetry_residual(c_true.values),
+                            coupling.column_symmetry_residual(c_true),
                             coupling.column_symmetry_residual(c_est.values))
     return _result(6, "column_reversal_symmetry", worst, 1e-8,
                    "worst residual %.2e <= 1e-8" % (worst,), tamper)
@@ -267,15 +257,12 @@ def criterion_8(tamper=False):
     for element in ("isotropic", "ideal_dipole"):
         for m_count in (2, 4, 8):
             for d in (0.1, 0.2, 0.3):
-                geom = _geom(m_count, d, element)
-                es = surrogate.isolated_fields(geom, _grid())
-                ratio = es.singular_ratio()
+                es = _fields(m_count, d, element, _grid())[1]
+                ratio = singular_ratio(es.values)
                 min_ratio = min(min_ratio, ratio)
                 if ratio <= 1e-6:
                     worst_ratio_err = 1.0
-    geom = _geom(4, 0.1, "ideal_dipole")
-    es = surrogate.isolated_fields(geom, _grid())
-    ec, _ = _surrogate(4, 0.1, "ideal_dipole")
+    _, es, ec, _ = _fields(4, 0.1, "ideal_dipole", _grid())
     c_svd = coupling.estimate_c_full(es, ec)
     c_normal, _ = gated_solve(es.values.conj().T @ es.values,
                               es.values.conj().T @ ec.values,
@@ -397,10 +384,8 @@ def criterion_12(tamper=False):
 
 def criterion_13(tamper=False):
     """Synthetic measurements round-trip to the direct Z and C."""
-    geom, z_sphere, e, c_true = _dipole_setup(4, 0.3)
     grid = _hgrid()
-    es = surrogate.isolated_fields(geom, grid)
-    ec = coupling.FieldMatrix(values=es.values @ c_true, grid=grid)
+    geom, es, ec, c_true = _fields(4, 0.3, "ideal_dipole", grid)
     phi_deg = np.rad2deg(grid.phi)
 
     def to_measurements(fields):

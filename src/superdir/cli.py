@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 validation error, 2 numerical condition gate,
 
 import argparse
 import glob
-import json
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -73,12 +72,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path):
-        try:
-            with open(path) as handle:
-                doc = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError("%s: %s" % (path, exc)) from exc
-        doc = _section(path, doc, "")
+        doc = _section(path, fileio.read_json(path), "")
         geom, steer = fileio.geometry_from_dict(
             _section(path, doc, "geometry"), path)
         methods = doc.get("methods", ALL_METHODS)
@@ -231,6 +225,9 @@ def _reduced_from_fields(ec, geom, n_angles):
     if ec.grid.kind != "h_plane":
         raise ValueError(
             "--angles requires H-plane field data, got %s" % (ec.grid.kind,))
+    if n_angles > ec.grid.size:
+        raise ValueError("--angles %d exceeds the %d points of the cut" %
+                         (n_angles, ec.grid.size))
     wanted = np.rad2deg(coupling.default_reduced_angles(n_angles))
     grid_deg = np.rad2deg(ec.grid.phi)
     idx = []
@@ -273,16 +270,27 @@ def cmd_estimate_c(args):
 
 
 def _measured_fields(args, geom):
-    """(E_s, E_c) of the isolated_*.csv and coupled_*.csv files in
-    ``args.measurements``, read with ``args.amplitude``."""
+    """(E_s, E_c) of the isolated_<k>.csv and coupled_<k>.csv files,
+    k = 1..M in numeric order, in ``args.measurements``, read with
+    ``args.amplitude``."""
     directory = args.measurements
+    m_count = geom.element_count
     fields = []
     for prefix in ("isolated", "coupled"):
-        paths = sorted(glob.glob(os.path.join(directory, prefix + "_*.csv")))
-        if len(paths) != geom.element_count:
+        found = glob.glob(os.path.join(glob.escape(directory),
+                                       prefix + "_*.csv"))
+        if len(found) != m_count:
             raise ValidationError(
                 "%s: expected %d %s_*.csv files, found %d" %
-                (directory, geom.element_count, prefix, len(paths)))
+                (directory, m_count, prefix, len(found)))
+        present = {os.path.basename(path) for path in found}
+        names = ["%s_%d.csv" % (prefix, k) for k in range(1, m_count + 1)]
+        missing = [name for name in names if name not in present]
+        if missing:
+            raise ValidationError(
+                "%s: %s files must be numbered 1 to %d; %s is missing" %
+                (directory, prefix, m_count, missing[0]))
+        paths = [os.path.join(directory, name) for name in names]
         measurements = [fileio.read_measurement_csv(path, antenna_index=i)
                         for i, path in enumerate(paths)]
         try:

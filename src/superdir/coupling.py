@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import AngularGrid, steering_matrix
-from .linalg import condition_number, lstsq_cutoff, singular_ratio
+from .linalg import condition_number, lstsq_cutoff
 
 RANK_GATE = 1e-6
 CONDITION_FLAG = 1e10
@@ -41,9 +41,6 @@ class FieldMatrix:
 
     def phi_rows(self):
         return self.values[1::2]
-
-    def singular_ratio(self):
-        return singular_ratio(self.values)
 
 
 @dataclass
@@ -86,12 +83,11 @@ def estimate_c_full(es, ec):
         raise ValueError("isolated and coupled fields use different grids")
     if es.values.shape != ec.values.shape:
         raise ValueError("field matrices must have matching shapes")
-    ratio = singular_ratio(es.values)
+    c, ratio = lstsq_cutoff(es.values, ec.values)
     if ratio <= RANK_GATE:
         raise ValueError(
             "isolated field matrix is rank deficient "
             "(singular value ratio %.3e)" % (ratio,))
-    c, _, _ = lstsq_cutoff(es.values, ec.values)
     return _estimate(c, es.values, ec.values)
 
 
@@ -150,20 +146,17 @@ def estimate_c_reduced(ec_samples, angles_phi, geom):
     theta = np.full(p, np.pi / 2)
     a = steering_matrix(geom, theta, angles_phi, "in_plane")
     if m_count % 2 == 0:
-        stacked = np.vstack([a, a[:, ::-1]])
-        if singular_ratio(stacked) < 1e-10:
-            raise ValueError("angle set is degenerate for the reduced solve")
-        c = np.zeros((m_count, m_count), dtype=complex)
-        for m in range(m_count // 2):
-            mirror = m_count - 1 - m
-            rhs = np.concatenate([ec_samples[:, m], ec_samples[:, mirror]])
-            col, _, _ = lstsq_cutoff(stacked, rhs)
-            c[:, m] = col
-            c[:, mirror] = col[::-1]
+        # Column m and its mirror M-1-m stack into one right-hand side;
+        # one solve takes every pair, and the mirror is the reversed column.
+        half = m_count // 2
+        cols, ratio = lstsq_cutoff(
+            np.vstack([a, a[:, ::-1]]),
+            np.vstack([ec_samples[:, :half], ec_samples[:, ::-1][:, :half]]))
+        c = np.hstack([cols, cols[::-1, ::-1]])
     else:
-        if singular_ratio(a) < 1e-10:
-            raise ValueError("angle set is degenerate for the reduced solve")
-        c, _, _ = lstsq_cutoff(a, ec_samples)
+        c, ratio = lstsq_cutoff(a, ec_samples)
+    if ratio < 1e-10:
+        raise ValueError("angle set is degenerate for the reduced solve")
     return _estimate(c, a, ec_samples)
 
 

@@ -23,6 +23,25 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def read_json(path):
+    """The JSON document at ``path``.  A file that cannot be read, is not
+    UTF-8 or is not JSON raises ValidationError naming ``path``."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bad UTF-8, bad JSON, or an integer past Python's
+        # digit limit; RecursionError: arrays nested too deep to parse.
+        raise ValidationError("%s: %s" % (path, exc)) from exc
+
+
+def write_json(path, doc):
+    """``doc`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as handle:
+        json.dump(doc, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def integer(value):
     """``value`` as an int when it is a JSON number with no fractional
     part (4 or 4.0); booleans, strings and fractions raise ValueError."""
@@ -217,9 +236,7 @@ def write_field_dump(directory, fields, geom, grid_params):
                 "grid": grid_params,
                 "files": files}
     manifest_path = os.path.join(directory, "manifest.json")
-    with open(manifest_path, "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(manifest_path, manifest)
     return manifest_path
 
 
@@ -243,11 +260,7 @@ def _grid_from_params(params, context):
 def read_field_dump(manifest_path):
     """Rebuild a FieldMatrix and geometry from a dump directory."""
     directory = os.path.dirname(os.path.abspath(manifest_path))
-    try:
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError("%s: %s" % (manifest_path, exc)) from exc
+    manifest = read_json(manifest_path)
     files = manifest.get("files", []) if isinstance(manifest, dict) else None
     if not (isinstance(files, list) and all(isinstance(f, str) for f in files)):
         raise ValidationError("%s: need a JSON object whose files is a list "
@@ -287,9 +300,7 @@ def write_c_json(path, c):
            "im": [[float(v.imag) for v in row] for row in c.values],
            "condition": float(c.condition),
            "residual": float(c.residual)}
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, doc)
 
 
 def read_c_json(path):
@@ -297,11 +308,7 @@ def read_c_json(path):
     integer, ``re`` and ``im`` m x m lists of finite numbers, and the
     optional ``condition`` and ``residual`` finite numbers.  Anything
     else raises ValidationError naming ``path``."""
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValidationError("%s: %s" % (path, exc)) from exc
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValidationError("%s: need a JSON object" % (path,))
     m = read_value(doc, "m", integer, path)
@@ -329,9 +336,7 @@ def write_z_json(path, z):
     doc = {"m": len(z.values),
            "values": [[float(v) for v in row] for row in z.values],
            "self_power": float(z.self_power)}
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, doc)
 
 
 SWEEP_COLUMNS = ["spacing_wl", "method", "directivity", "gain",

@@ -57,15 +57,22 @@ def gated_solve(a, b, tikhonov=None, context="matrix", condition=None):
 
 
 def lstsq_cutoff(a, b):
-    """Least-squares solve with singular values below cutoff discarded."""
+    """Least-squares solve with singular values below cutoff discarded.
+
+    Returns (x, ``singular_ratio(a)``), the ratio taken from the
+    singular values of the one factorization that solves for x.
+    """
     _require_finite(a, b)
-    x, _, rank, sv = np.linalg.lstsq(a, b, rcond=LSTSQ_CUTOFF)
-    return x, rank, sv
+    x, _, _, sv = np.linalg.lstsq(a, b, rcond=LSTSQ_CUTOFF)
+    return x, _ratio(sv)
 
 
 def singular_ratio(a):
     """Smallest over largest singular value; 0 for an all-zero matrix."""
-    sv = np.linalg.svd(np.asarray(a), compute_uv=False)
+    return _ratio(np.linalg.svd(np.asarray(a), compute_uv=False))
+
+
+def _ratio(sv):
     if sv[0] == 0.0:
         return 0.0
     return float(sv[-1] / sv[0])

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -364,8 +365,27 @@ def _write_measurements(tmp_path, geom, es, ec):
                 phase_deg=np.rad2deg(np.angle(rows[:, m])),
                 antenna_index=m)
             fileio.write_measurement_csv(
-                directory / ("%s_%d.csv" % (tag, m)), meas)
+                directory / ("%s_%d.csv" % (tag, m + 1)), meas)
     return directory
+
+
+@pytest.mark.parametrize("value", ["100000",
+                                   "99999999999999999999999999999"])
+def test_angles_beyond_the_cut_exit_1_naming_the_flag(tmp_path, capsys,
+                                                      value):
+    # the 1 deg cut has 360 points; a larger count used to run a Python
+    # loop per angle or ask numpy for an array past its size limit
+    _dump_surrogate(tmp_path, m_count=2)
+    manifests = [str(tmp_path / name / "manifest.json")
+                 for name in ("es", "ec")]
+    out = tmp_path / "c.json"
+    capsys.readouterr()
+    assert cli.main(["estimate-c", "--es", manifests[0], "--ec", manifests[1],
+                     "--angles", value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: %s and %s: --angles %s exceeds the 360 points of the cut\n" %
+        (manifests[0], manifests[1], value))
+    assert not out.exists()
 
 
 def test_estimate_c_from_measurements(tmp_path):
@@ -521,6 +541,90 @@ def test_measurement_phi_grid_must_be_uniform(tmp_path, capsys):
         assert "the step after phi_deg = -171 is 2\n" in err
         assert "Traceback" not in err
     assert not (tmp_path / "run_z.json").exists()
+
+
+def test_ten_element_measurements_are_read_in_numeric_order(tmp_path):
+    # sorted by name, isolated_10.csv came second and scrambled Z and C
+    geom, grid, es, ec, c_true = _dump_surrogate(tmp_path, m_count=10)
+    directory = _write_measurements(tmp_path, geom, es, ec)
+    config = _write_config(tmp_path / "config.json",
+                           geometry=fileio.geometry_to_dict(geom))
+    measured = ["--measurements", str(directory), "--config", config]
+    assert cli.main(["ingest"] + measured +
+                    ["--out", str(tmp_path / "run")]) == 0
+    assert cli.main(["estimate-c"] + measured +
+                    ["--out", str(tmp_path / "c.json")]) == 0
+    z = np.asarray(json.loads((tmp_path / "run_z.json").read_text())["values"])
+    assert_allclose(z, impedance.z_hplane(geom, grid).values, rtol=0,
+                    atol=1e-9)
+    truth = c_true.values
+    for name in ("run_c.json", "c.json"):
+        c = fileio.read_c_json(tmp_path / name).values
+        assert np.linalg.norm(c - truth) / np.linalg.norm(truth) < 1e-6
+
+
+@pytest.mark.parametrize("rename, missing", [
+    ({"isolated_2.csv": "isolated_5.csv"}, "isolated files must be "
+     "numbered 1 to 4; isolated_2.csv is missing"),
+    ({"coupled_%d.csv" % k: "coupled_%d.csv" % (k - 1)
+      for k in range(1, 5)}, "coupled files must be numbered 1 to 4; "
+     "coupled_4.csv is missing")], ids=["gap", "from-zero"])
+def test_measurement_numbers_must_run_from_1_to_m(tmp_path, capsys, rename,
+                                                  missing):
+    geom, _, es, ec, _ = _dump_surrogate(tmp_path)
+    directory = _write_measurements(tmp_path, geom, es, ec)
+    for old, new in rename.items():
+        (directory / old).rename(directory / new)
+    config = _write_config(tmp_path / "config.json",
+                           geometry=fileio.geometry_to_dict(geom))
+    for argv in (["ingest", "--out", str(tmp_path / "run")],
+                 ["estimate-c", "--out", str(tmp_path / "c.json")]):
+        capsys.readouterr()
+        assert cli.main(argv + ["--measurements", str(directory),
+                                "--config", config]) == 1
+        assert capsys.readouterr().err == "error: %s: %s\n" % (directory,
+                                                                missing)
+    assert not (tmp_path / "run_z.json").exists()
+
+
+@pytest.mark.parametrize("body", [b"\xff\xfe{}", b"[" * 100000,
+                                  b'{"m": ' + b"1" * 5000 + b"}"],
+                         ids=["not-utf-8", "nested", "long-integer"])
+def test_unreadable_json_exits_1_naming_the_file(tmp_path, capsys, body):
+    geom, _, es, ec, _ = _dump_surrogate(tmp_path)
+    directory = _write_measurements(tmp_path, geom, es, ec)
+    manifests = [str(tmp_path / name / "manifest.json")
+                 for name in ("es", "ec")]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(body)
+    measured = ["--measurements", str(directory), "--config", str(bad)]
+    out = ["--out", str(tmp_path / "out")]
+    for argv in (["sweep", "--config", str(bad)],
+                 ["pattern", "--config", str(bad)],
+                 ["ingest"] + measured,
+                 ["estimate-c"] + measured,
+                 ["estimate-c", "--es", str(bad), "--ec", manifests[1]],
+                 ["estimate-c", "--es", manifests[0], "--ec", str(bad)]):
+        capsys.readouterr()
+        assert cli.main(argv + out) == 1, argv
+        assert capsys.readouterr().err.startswith("error: %s: " % (bad,))
+    with pytest.raises(ValidationError, match="^%s: " % re.escape(str(bad))):
+        fileio.read_c_json(bad)
+    assert not [path for path in tmp_path.iterdir()
+                if path.name.startswith("out")]
+
+
+def test_measurement_directory_name_is_not_a_pattern(tmp_path):
+    # glob read the "[1]" of the name as a character class and found
+    # no files
+    base = tmp_path / "run[1]"
+    base.mkdir()
+    geom, _, es, ec, _ = _dump_surrogate(base)
+    directory = _write_measurements(base, geom, es, ec)
+    config = _write_config(base / "config.json",
+                           geometry=fileio.geometry_to_dict(geom))
+    assert cli.main(["ingest", "--measurements", str(directory),
+                     "--config", config, "--out", str(base / "run")]) == 0
 
 
 def test_ingest_rejects_incomplete_set(tmp_path):

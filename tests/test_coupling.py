@@ -54,6 +54,18 @@ def test_zero_coupled_field_is_refused(ports):
         estimate_c_full(es, ec)
 
 
+@pytest.mark.parametrize("columns", ["equal", "zero"])
+def test_full_estimation_refuses_rank_deficient_isolated_fields(columns):
+    grid = hplane_grid(30.0)
+    _, es, ec, _ = _surrogate_pair(3, 0.2, grid)
+    if columns == "equal":
+        es.values[:, 2] = es.values[:, 0]
+    else:
+        es.values[:] = 0.0
+    with pytest.raises(ValueError, match="rank deficient"):
+        estimate_c_full(es, ec)
+
+
 def test_estimation_rejects_mismatched_grids():
     grid_a = hplane_grid(1.0)
     grid_b = hplane_grid(2.0)
@@ -118,6 +130,16 @@ def test_reduced_rejects_degenerate_angles():
     geom, _, _, c_true = _surrogate_pair(4, 0.3, grid)
     angles = np.array([0.3, 0.3])
     with pytest.raises(ValueError):
+        estimate_c_reduced(_samples_at(geom, c_true, angles), angles, geom)
+
+
+@pytest.mark.parametrize("m_count", [4, 3])
+def test_reduced_names_a_degenerate_angle_set(m_count):
+    # one azimuth repeated: every row of the solve is the same row
+    grid = hplane_grid(1.0)
+    geom, _, _, c_true = _surrogate_pair(m_count, 0.3, grid)
+    angles = np.full(minimum_angles(m_count), 0.3)
+    with pytest.raises(ValueError, match="angle set is degenerate"):
         estimate_c_reduced(_samples_at(geom, c_true, angles), angles, geom)
 
 

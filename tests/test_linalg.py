@@ -33,8 +33,8 @@ def test_gated_solve_tikhonov_override():
 def test_lstsq_cutoff_discards_null_directions():
     a = np.array([[1.0, 0.0], [0.0, 1e-14], [0.0, 0.0]])
     b = np.array([3.0, 1.0, 0.0])
-    x, rank, _ = lstsq_cutoff(a, b)
-    assert rank == 1
+    x, ratio = lstsq_cutoff(a, b)
+    assert_allclose(ratio, 1e-14, rtol=1e-12)
     assert_allclose(x[0], 3.0, rtol=1e-12)
     assert abs(x[1]) < 1e-6
 
