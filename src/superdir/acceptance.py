@@ -2,11 +2,10 @@
 
 Each criterion reduces to a scalar violation measure ``err`` compared
 against its stated tolerance; orderings map to 0 (holds) or 1
-(violated).  ``tamper`` replaces the tolerance with an impossible one
-so the harness itself can be shown to fail loudly.
+(violated).  ``run_all(tamper=N)`` fails criterion N as an impossible
+tolerance would, so the harness itself can be shown to fail loudly.
 """
 
-import json
 import os
 import tempfile
 from dataclasses import dataclass
@@ -14,7 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import beamforming, cli, coupling, impedance, surrogate
+from . import (beamforming, coupling, experiment, fileio, impedance,
+               surrogate)
 from .geometry import (ArrayGeometry, Direction, hplane_grid, sphere_grid,
                        steering_matrix, steering_vector)
 from .linalg import gated_solve, singular_ratio
@@ -30,10 +30,7 @@ class CriterionResult:
     detail: str
 
 
-def _result(number, name, err, tol, detail, tamper):
-    if tamper:
-        tol = -1.0
-        detail += " [tampered tolerance]"
+def _result(number, name, err, tol, detail):
     return CriterionResult(number=number, name=name, passed=bool(err <= tol),
                            detail=detail)
 
@@ -48,7 +45,6 @@ def _hgrid():
     return hplane_grid(1.0)
 
 
-@lru_cache(maxsize=None)
 def _geom(m_count, spacing, element):
     return ArrayGeometry(element_count=m_count, spacing=spacing,
                          element=element)
@@ -72,6 +68,13 @@ def _fields(m_count, spacing, element, grid):
                                           grid=grid), c_true
 
 
+def _isotropic_endfire(m_count, spacing):
+    """Closed-form Z and endfire steering vector of an isotropic array."""
+    geom = _geom(m_count, spacing, "isotropic")
+    return (impedance.z_isotropic_closed(geom),
+            steering_vector(geom, Direction(theta=0.0, phi=0.0)))
+
+
 @lru_cache(maxsize=None)
 def _dipole_setup(m_count, spacing):
     """In-plane dipole array: Z, endfire steering, ground-truth C."""
@@ -82,25 +85,21 @@ def _dipole_setup(m_count, spacing):
     return geom, z, e, _c_true(geom)
 
 
-def criterion_1(tamper=False):
+def criterion_1():
     """Isotropic endfire max directivity hits M^2 at d = 0.02."""
-    endfire = Direction(theta=0.0, phi=0.0)
     worst = 0.0
     values = []
     for m_count in (2, 3, 4):
-        geom = _geom(m_count, 0.02, "isotropic")
-        z = impedance.z_isotropic_closed(geom)
-        e = steering_vector(geom, endfire)
+        z, e = _isotropic_endfire(m_count, 0.02)
         d_max = beamforming.max_directivity(z, e)
         gap = abs(d_max - m_count ** 2) / m_count ** 2
         worst = max(worst, gap)
         values.append("M=%d: %.3f" % (m_count, d_max))
     return _result(1, "uzkov_limit", worst, 0.02,
-                   "%s, worst gap %.2e <= 2e-2" % ("; ".join(values), worst),
-                   tamper)
+                   "%s, worst gap %.2e <= 2e-2" % ("; ".join(values), worst))
 
 
-def criterion_2(tamper=False):
+def criterion_2():
     """Half-wave decoupling: Z = I and all four methods agree."""
     geom = _geom(4, 0.5, "isotropic")
     z = impedance.z_full(geom, _grid())
@@ -116,10 +115,10 @@ def criterion_2(tamper=False):
     err = max(err_z / 1e-9, spread / 0.01)
     return _result(2, "halfwave_decoupling", err, 1.0,
                    "max|Z-I| %.2e <= 1e-9, method spread %.2e <= 1e-2" %
-                   (err_z, spread), tamper)
+                   (err_z, spread))
 
 
-def criterion_3(tamper=False):
+def criterion_3():
     """Quadrature Z matches the sinc oracle and is grid-converged."""
     fine = sphere_grid(128, 256)
     worst_oracle = 0.0
@@ -136,10 +135,10 @@ def criterion_3(tamper=False):
     err = max(worst_oracle / 1e-8, worst_conv / 1e-9)
     return _result(3, "quadrature_oracle", err, 1.0,
                    "max oracle gap %.2e <= 1e-8, doubling change %.2e <= 1e-9" %
-                   (worst_oracle, worst_conv), tamper)
+                   (worst_oracle, worst_conv))
 
 
-def criterion_4(tamper=False):
+def criterion_4():
     """Full-grid least squares recovers the surrogate C exactly."""
     worst = 0.0
     for m_count in (2, 4, 8):
@@ -150,8 +149,7 @@ def criterion_4(tamper=False):
                 np.linalg.norm(c_true)
             worst = max(worst, float(gap))
     return _result(4, "c_recovery_oracle", worst, 1e-8,
-                   "worst Frobenius relative error %.2e <= 1e-8" % (worst,),
-                   tamper)
+                   "worst Frobenius relative error %.2e <= 1e-8" % (worst,))
 
 
 def _reduced_samples(geom, c_true, angles):
@@ -160,7 +158,7 @@ def _reduced_samples(geom, c_true, angles):
     return a @ c_true
 
 
-def criterion_5(tamper=False):
+def criterion_5():
     """Reduced-angle estimation: counting bound and pattern match."""
     worst = 0.0
     details = []
@@ -210,10 +208,10 @@ def criterion_5(tamper=False):
     worst = max(worst, gap_db / 0.1)
     details.append("pattern gap %.1e dB" % (gap_db,))
     return _result(5, "reduced_angle_recovery", worst, 1.0,
-                   "; ".join(details), tamper)
+                   "; ".join(details))
 
 
-def criterion_6(tamper=False):
+def criterion_6():
     """Column-reversal symmetry of true and estimated C."""
     worst = 0.0
     for element in ("isotropic", "ideal_dipole"):
@@ -225,10 +223,10 @@ def criterion_6(tamper=False):
                             coupling.column_symmetry_residual(c_true),
                             coupling.column_symmetry_residual(c_est.values))
     return _result(6, "column_reversal_symmetry", worst, 1e-8,
-                   "worst residual %.2e <= 1e-8" % (worst,), tamper)
+                   "worst residual %.2e <= 1e-8" % (worst,))
 
 
-def criterion_7(tamper=False):
+def criterion_7():
     """Proposed synthesis collapses to the theoretical bound."""
     worst_gap = 0.0
     ordering = 0.0
@@ -246,10 +244,10 @@ def criterion_7(tamper=False):
     err = max(worst_gap / 1e-9, ordering)
     return _result(7, "algebraic_collapse", err, 1.0,
                    "worst relative gap %.2e <= 1e-9, ordering holds: %s" %
-                   (worst_gap, ordering == 0.0), tamper)
+                   (worst_gap, ordering == 0.0))
 
 
-def criterion_8(tamper=False):
+def criterion_8():
     """Isolated-field matrices keep full column rank, so the cutoff least
     squares and the normal equations recover one coupling matrix."""
     worst_ratio_err = 0.0
@@ -272,19 +270,16 @@ def criterion_8(tamper=False):
     err = max(worst_ratio_err, float(path_gap) / 1e-9)
     return _result(8, "rank_uniqueness", err, 1.0,
                    "min singular ratio %.2e > 1e-6, solver path gap %.2e <= 1e-9" %
-                   (min_ratio, path_gap), tamper)
+                   (min_ratio, path_gap))
 
 
-def criterion_9(tamper=False):
+def criterion_9():
     """Rayleigh bound and generalized-eigenvalue cross-check."""
     rng = np.random.default_rng(20240817)
-    endfire = Direction(theta=0.0, phi=0.0)
     worst = 0.0
     for m_count in (2, 4, 8):
         for d in (0.1, 0.3, 0.5):
-            geom = _geom(m_count, d, "isotropic")
-            z = impedance.z_isotropic_closed(geom)
-            e = steering_vector(geom, endfire)
+            z, e = _isotropic_endfire(m_count, d)
             d_max = beamforming.max_directivity(z, e)
             a = rng.standard_normal((1000, m_count)) + \
                 1j * rng.standard_normal((1000, m_count))
@@ -293,9 +288,7 @@ def criterion_9(tamper=False):
             den = np.real(np.einsum("ij,ij->i", s.conj(), s @ z.values))
             excess = float(np.max(num / den) - d_max) / d_max
             worst = max(worst, excess)
-    gap = beamforming.eig_crosscheck(
-        impedance.z_isotropic_closed(_geom(2, 0.25, "isotropic")),
-        steering_vector(_geom(2, 0.25, "isotropic"), endfire))
+    gap = beamforming.eig_crosscheck(*_isotropic_endfire(2, 0.25))
     rng2 = np.random.default_rng(7)
     basis = rng2.standard_normal((8, 8))
     raw = basis @ basis.T + 8.0 * np.eye(8)
@@ -307,18 +300,15 @@ def criterion_9(tamper=False):
     err = max(worst / 1e-9, gap / 1e-9, gap2 / 1e-9)
     return _result(9, "rayleigh_bound", err, 1.0,
                    "max excess %.2e, eig gaps %.2e / %.2e (all <= 1e-9)" %
-                   (worst, gap, gap2), tamper)
+                   (worst, gap, gap2))
 
 
-def criterion_10(tamper=False):
+def criterion_10():
     """Loss analysis: interior gain maximum and loss-ratio blow-up."""
-    endfire = Direction(theta=0.0, phi=0.0)
     r_loss = beamforming.loss_resistance(0.96)
     gains = []
     for d in np.linspace(0.05, 0.5, 19):
-        geom = _geom(4, round(float(d), 6), "isotropic")
-        z = impedance.z_isotropic_closed(geom)
-        e = steering_vector(geom, endfire)
+        z, e = _isotropic_endfire(4, round(float(d), 6))
         a = beamforming.traditional_vector(z, e)
         gains.append(beamforming.directivity(a, e, z, r_loss))
     gains = np.asarray(gains)
@@ -326,10 +316,8 @@ def criterion_10(tamper=False):
                        0 < int(np.argmax(gains)) < len(gains) - 1) else 1.0
 
     def loss_ratio(d):
-        geom = _geom(4, d, "isotropic")
-        z = impedance.z_isotropic_closed(geom)
-        e = steering_vector(geom, endfire)
-        p_rad, p_loss = beamforming.power_decomposition(z, e, r_loss)
+        p_rad, p_loss = beamforming.power_decomposition(
+            *_isotropic_endfire(4, d), r_loss)
         return p_loss / p_rad
 
     ratio_gain = loss_ratio(0.02) / loss_ratio(0.5)
@@ -338,11 +326,10 @@ def criterion_10(tamper=False):
     return _result(10, "loss_analysis", err, 0.0,
                    "peak gain %.2f at interior point: %s; "
                    "loss ratio amplification %.1e > 10: %s" %
-                   (gains.max(), interior == 0.0, ratio_gain, blowup == 0.0),
-                   tamper)
+                   (gains.max(), interior == 0.0, ratio_gain, blowup == 0.0))
 
 
-def criterion_11(tamper=False):
+def criterion_11():
     """Monotone degradation trend and the Delta-F doubling law."""
     deltas = []
     for d in SWEEP_SPACINGS:
@@ -363,11 +350,10 @@ def criterion_11(tamper=False):
     err = max(trend, doubling_gap / 1e-9)
     return _result(11, "degradation_trend", err, 1.0,
                    "delta-D %s non-decreasing: %s; doubling step off by %.1e dB" %
-                   (["%.3f" % v for v in deltas], trend == 0.0, doubling_gap),
-                   tamper)
+                   (["%.3f" % v for v in deltas], trend == 0.0, doubling_gap))
 
 
-def criterion_12(tamper=False):
+def criterion_12():
     """H-plane-only impedance is enough for the proposed method."""
     worst = np.inf
     for d in SWEEP_SPACINGS:
@@ -379,10 +365,10 @@ def criterion_12(tamper=False):
         worst = min(worst, d_h / d_full)
     err = 0.0 if worst >= 0.9 else 1.0
     return _result(12, "hplane_sufficiency", err, 0.0,
-                   "worst directivity ratio %.4f >= 0.90" % (worst,), tamper)
+                   "worst directivity ratio %.4f >= 0.90" % (worst,))
 
 
-def criterion_13(tamper=False):
+def criterion_13():
     """Synthetic measurements round-trip to the direct Z and C."""
     grid = _hgrid()
     geom, es, ec, c_true = _fields(4, 0.3, "ideal_dipole", grid)
@@ -408,34 +394,30 @@ def criterion_13(tamper=False):
     gap_c = np.linalg.norm(c_est.values - c_true) / np.linalg.norm(c_true)
     err = max(gap_z / 1e-9, float(gap_c) / 1e-6)
     return _result(13, "measurement_roundtrip", err, 1.0,
-                   "Z gap %.2e <= 1e-9, C gap %.2e <= 1e-6" % (gap_z, gap_c),
-                   tamper)
+                   "Z gap %.2e <= 1e-9, C gap %.2e <= 1e-6" % (gap_z, gap_c))
 
 
-def criterion_14(tamper=False):
+def criterion_14():
     """Byte-identical sweep CSVs for identical configs."""
     with tempfile.TemporaryDirectory() as tmp:
         config_path = os.path.join(tmp, "config.json")
-        with open(config_path, "w") as handle:
-            json.dump({"geometry": {"elements": 4, "spacing_wl": 0.3,
-                                    "element": "isotropic",
-                                    "steer_theta_deg": 0.0,
-                                    "steer_phi_deg": 0.0},
-                       "sweep": {"d_min": 0.2, "d_max": 0.5, "steps": 4},
-                       "grid": {"n_theta": 32, "n_phi": 64},
-                       "efficiency": 0.96}, handle)
-        out1 = os.path.join(tmp, "a.csv")
-        out2 = os.path.join(tmp, "b.csv")
-        code1 = cli.main(["sweep", "--config", config_path, "--out", out1])
-        code2 = cli.main(["sweep", "--config", config_path, "--out", out2])
-        with open(out1, "rb") as handle:
-            bytes1 = handle.read()
-        with open(out2, "rb") as handle:
-            bytes2 = handle.read()
-    err = 0.0 if (code1 == 0 and code2 == 0 and bytes1 == bytes2) else 1.0
+        fileio.write_json(config_path, {
+            "geometry": {"elements": 4, "spacing_wl": 0.3,
+                         "element": "isotropic", "steer_theta_deg": 0.0,
+                         "steer_phi_deg": 0.0},
+            "sweep": {"d_min": 0.2, "d_max": 0.5, "steps": 4},
+            "grid": {"n_theta": 32, "n_phi": 64}, "efficiency": 0.96})
+        runs = []
+        for name in ("a.csv", "b.csv"):
+            out = os.path.join(tmp, name)
+            fileio.write_sweep_csv(out, experiment.sweep_rows(
+                experiment.steered_config(config_path)))
+            with open(out, "rb") as handle:
+                runs.append(handle.read())
+    err = 0.0 if runs[0] == runs[1] else 1.0
     return _result(14, "determinism", err, 0.0,
                    "two runs, %d bytes, identical: %s" %
-                   (len(bytes1), err == 0.0), tamper)
+                   (len(runs[0]), err == 0.0))
 
 
 CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
@@ -444,8 +426,10 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 
 
 def run_all(tamper=None):
-    """Run every criterion; ``tamper`` breaks criterion N on purpose."""
-    results = []
-    for index, fn in enumerate(CRITERIA, start=1):
-        results.append(fn(tamper=(tamper == index)))
+    """Run every criterion; ``tamper`` fails criterion N on purpose."""
+    results = [fn() for fn in CRITERIA]
+    for result in results:
+        if result.number == tamper:
+            result.passed = False
+            result.detail += " [tampered tolerance]"
     return results

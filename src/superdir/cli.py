@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end: argument parsing and files around ``experiment``.
 
 Subcommands: ``sweep`` (spacing sweep CSV), ``pattern`` (per-method
 H-plane cuts), ``estimate-c`` (coupling matrix from field dumps or
@@ -13,187 +13,19 @@ import argparse
 import glob
 import os
 import sys
-from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import beamforming, coupling, fileio, impedance, surrogate
+from . import acceptance, beamforming, coupling, experiment, fileio, impedance
 from .fileio import ValidationError
-from .geometry import (ArrayGeometry, Direction, hplane_degrees, sphere_grid,
-                       steering_matrix, steering_vector)
+from .geometry import hplane_degrees
 from .linalg import ConditionGateError
-
-ALL_METHODS = ("mrt", "traditional", "proposed", "theoretical")
-
-
-# The keys each config section accepts; "" is the top level.
-CONFIG_KEYS = {
-    "": ("geometry", "methods", "sweep", "grid", "efficiency"),
-    "geometry": ("elements", "spacing_wl", "element", "steer_theta_deg",
-                 "steer_phi_deg"),
-    "sweep": ("d_min", "d_max", "steps"),
-    "grid": ("n_theta", "n_phi", "h_plane_step_deg"),
-}
-
-
-def _section(path, doc, name):
-    """Config section ``name`` as a dict whose keys are all known."""
-    section = fileio.read_section(doc, name, path) if name else doc
-    if not isinstance(section, dict):
-        raise ValidationError("%s: the config must be a JSON object" %
-                              (path,))
-    for key in section:
-        if key not in CONFIG_KEYS[name]:
-            raise ValidationError("%s: unknown key %s; valid keys: %s" % (
-                path, ".".join(filter(None, (name, key))),
-                ", ".join(CONFIG_KEYS[name])))
-    return section
-
-
-def _number(path, section, name, key, kind=fileio.number):
-    """``kind`` value of ``section[key]``, else the field default;
-    ``kind`` is ``fileio.number`` or ``fileio.integer``."""
-    return fileio.read_value(section, ".".join(filter(None, (name, key))),
-                             kind, path, getattr(ExperimentConfig, key))
-
-
-@dataclass
-class ExperimentConfig:
-    geometry: ArrayGeometry
-    steer: Direction
-    methods: tuple = ALL_METHODS
-    d_min: float = 0.05
-    d_max: float = 0.5
-    steps: int = 19
-    efficiency: float = 1.0
-    n_theta: int = 64
-    n_phi: int = 128
-    h_plane_step_deg: float = 1.0
-
-    @classmethod
-    def from_file(cls, path):
-        doc = _section(path, fileio.read_json(path), "")
-        geom, steer = fileio.geometry_from_dict(
-            _section(path, doc, "geometry"), path)
-        methods = doc.get("methods", ALL_METHODS)
-        if not isinstance(methods, (list, tuple)):
-            raise ValidationError("%s: methods must be a list" % (path,))
-        for method in methods:
-            if method not in ALL_METHODS:
-                raise ValidationError("%s: unknown method %r" % (path, method))
-        sweep = _section(path, doc, "sweep")
-        d_min = _number(path, sweep, "sweep", "d_min")
-        d_max = _number(path, sweep, "sweep", "d_max")
-        steps = _number(path, sweep, "sweep", "steps", fileio.integer)
-        if not 0.0 < d_min < d_max:
-            raise ValidationError("%s: sweep needs 0 < d_min < d_max" % (path,))
-        try:
-            replace(geom, spacing=d_min)
-        except ValueError as exc:
-            raise ValidationError("%s: sweep.d_min: %s" % (path, exc)) from exc
-        if steps < 2:
-            raise ValidationError("%s: sweep needs steps >= 2" % (path,))
-        efficiency = _number(path, doc, "", "efficiency")
-        if not 0.0 < efficiency <= 1.0:
-            raise ValidationError("%s: efficiency must lie in (0, 1]" % (path,))
-        grid = _section(path, doc, "grid")
-        n_theta = _number(path, grid, "grid", "n_theta", fileio.integer)
-        n_phi = _number(path, grid, "grid", "n_phi", fileio.integer)
-        for key, value in (("n_theta", n_theta), ("n_phi", n_phi)):
-            if value < 2:
-                raise ValidationError("%s: grid.%s must be >= 2, got %d" %
-                                      (path, key, value))
-        step = _number(path, grid, "grid", "h_plane_step_deg")
-        try:
-            cut_points = len(hplane_degrees(step))
-        except ValueError as exc:
-            raise ValidationError(
-                "%s: grid.h_plane_step_deg: %s" % (path, exc)) from exc
-        if cut_points < 4:
-            # pattern_metrics needs a lobe and its neighbours on the cut
-            raise ValidationError(
-                "%s: grid.h_plane_step_deg: %g leaves %d cut points, need "
-                "at least 4" % (path, step, cut_points))
-        return cls(geometry=geom, steer=steer, methods=tuple(methods),
-                   d_min=d_min, d_max=d_max, steps=steps,
-                   efficiency=efficiency, n_theta=n_theta, n_phi=n_phi,
-                   h_plane_step_deg=step)
-
-
-def _steered_config(path):
-    """The config of a command that steers the array (sweep, pattern)."""
-    config = ExperimentConfig.from_file(path)
-    # Past -120 dB the excitations solved from e underflow into NaN.
-    if abs(steering_vector(config.geometry, config.steer)[0]) < 1e-6:
-        raise ValidationError("%s: geometry.steer_theta_deg: the element "
-                              "radiates below -120 dB there" % (path,))
-    return config
-
-
-def _cut(config):
-    """(orientation, theta, phi, steer angle in degrees) of the config's
-    full-circle cut.  Dipole arrays run in the measurement (in-plane)
-    configuration, cut in the theta = pi/2 plane and steered in phi;
-    other arrays are cut through their axis and steered in theta."""
-    psi = np.deg2rad(hplane_degrees(config.h_plane_step_deg))
-    steer = config.steer
-    if config.geometry.element == "ideal_dipole":
-        return ("in_plane", np.full(len(psi), np.pi / 2), psi,
-                float(np.rad2deg(steer.phi)))
-    opposite = steer.phi + np.pi if steer.phi <= 0.0 else steer.phi - np.pi
-    return ("axial", np.abs(psi), np.where(psi >= 0.0, steer.phi, opposite),
-            float(np.rad2deg(steer.theta)))
-
-
-def _arrays(config, spacings):
-    """Yield (geometry, Z, steering vector, ground-truth C as a
-    CouplingMatrix, cut matrix) of the configured array at each spacing."""
-    orientation, cut_theta, cut_phi, _ = _cut(config)
-    grid = sphere_grid(config.n_theta, config.n_phi)
-    networks = impedance.port_impedance_sweep(config.geometry, spacings)
-    for d, zc in zip(spacings, networks):
-        geom = replace(config.geometry, spacing=float(d))
-        z = impedance.z_full(geom, grid, orientation)
-        e = steering_vector(geom, config.steer, orientation)
-        c_true = surrogate.coupling_truth(zc)
-        cut = steering_matrix(geom, cut_theta, cut_phi, orientation)
-        yield geom, z, e, c_true, cut
-
-
-def _sweep_rows(config, tikhonov=None):
-    r_loss = beamforming.loss_resistance(config.efficiency)
-    psi_deg = hplane_degrees(config.h_plane_step_deg)
-    steer_deg = _cut(config)[3]
-    spacings = np.linspace(config.d_min, config.d_max, config.steps)
-    rows = []
-    for geom, z, e, c_true, cut in _arrays(config, spacings):
-        cond_z = z.condition
-        cond_c = float(c_true.condition)
-        d_max = beamforming.max_directivity(z, e, tikhonov=tikhonov)
-        for method in config.methods:
-            a, w = beamforming.synthesize(method, z, e, c_true.values,
-                                          tikhonov=tikhonov)
-            d_w = beamforming.directivity(w, e, z)
-            direct = d_max if method == "theoretical" else d_w
-            g = beamforming.directivity(w, e, z, r_loss)
-            dd = beamforming.directivity(a, e, z) - d_w
-            field_ac = cut @ w
-            df = beamforming.delta_f_from_patterns(cut @ a, field_ac)
-            power = np.abs(field_ac) ** 2
-            metrics = beamforming.pattern_metrics(power, psi_deg, steer_deg)
-            rows.append({"spacing_wl": geom.spacing, "method": method,
-                         "directivity": direct, "gain": g,
-                         "beamwidth_deg": metrics.beamwidth_3db_deg,
-                         "psll_db": metrics.psll_db,
-                         "delta_d": dd, "delta_f_db": df,
-                         "condition_z": cond_z, "condition_c": cond_c})
-    return rows
 
 
 def cmd_sweep(args):
-    config = _steered_config(args.config)
+    config = experiment.steered_config(args.config)
     try:
-        rows = _sweep_rows(config, tikhonov=args.regularize)
+        rows = experiment.sweep_rows(config, tikhonov=args.regularize)
     except beamforming.PowerError as exc:  # past the gate: a grid too coarse
         raise ValidationError("%s: %s (grid.n_theta = %d, grid.n_phi = %d)" % (
             args.config, exc, config.n_theta, config.n_phi)) from exc
@@ -204,9 +36,10 @@ def cmd_sweep(args):
 
 
 def cmd_pattern(args):
-    config = _steered_config(args.config)
+    config = experiment.steered_config(args.config)
     psi_deg = hplane_degrees(config.h_plane_step_deg)
-    _, z, e, c_true, cut = next(_arrays(config, [config.geometry.spacing]))
+    _, z, e, c_true, cut = next(
+        experiment.arrays(config, [config.geometry.spacing]))
     root, ext = os.path.splitext(args.out)
     for method in config.methods:
         _, w = beamforming.synthesize(method, z, e, c_true.values,
@@ -245,7 +78,7 @@ def cmd_estimate_c(args):
     if args.measurements:
         if not args.config:
             raise ValidationError("--measurements requires --config for geometry")
-        geom = ExperimentConfig.from_file(args.config).geometry
+        geom = experiment.ExperimentConfig.from_file(args.config).geometry
         es, ec = _measured_fields(args, geom)
         source = args.measurements
     elif args.es and args.ec:
@@ -302,7 +135,7 @@ def _measured_fields(args, geom):
 
 
 def cmd_ingest(args):
-    geom = ExperimentConfig.from_file(args.config).geometry
+    geom = experiment.ExperimentConfig.from_file(args.config).geometry
     es, ec = _measured_fields(args, geom)
     try:
         z = impedance.z_from_measurements(es.theta_rows())
@@ -315,8 +148,6 @@ def cmd_ingest(args):
 
 
 def cmd_acceptance(args):
-    # Imported here because acceptance imports cli: criterion 14 drives main.
-    from . import acceptance
     results = acceptance.run_all(tamper=args.tamper)
     failures = 0
     for result in results:
@@ -390,7 +221,8 @@ def build_parser():
                    help="directory of isolated_*.csv and coupled_*.csv")
     p.set_defaults(func=cmd_ingest)
     p = sub.add_parser("acceptance", help="run the acceptance criteria")
-    p.add_argument("--tamper", type=int, default=None,
+    p.add_argument("--tamper", type=int, default=None, metavar="N",
+                   choices=range(1, len(acceptance.CRITERIA) + 1),
                    help="inject a fault into criterion N (harness self-test)")
     p.set_defaults(func=cmd_acceptance)
     return parser
@@ -401,7 +233,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 1
     except ConditionGateError as exc:

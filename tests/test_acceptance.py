@@ -5,7 +5,9 @@ per-criterion pass/fail report; the detail string lands in the assert
 message on failure.
 """
 
-from superdir import acceptance
+import numpy as np
+
+from superdir import acceptance, experiment
 
 
 def _check(result):
@@ -76,8 +78,29 @@ def test_run_all_reports_every_criterion():
 
 
 def test_tamper_forces_a_failure():
-    # the self-check hook must be able to break any single criterion
-    results = acceptance.run_all(tamper=5)
-    failed = [r.number for r in results if not r.passed]
-    assert failed == [5]
-    assert "tampered" in results[4].detail
+    # the self-check hook must be able to break any single criterion,
+    # the first and the last included
+    for number in (1, 5, 14):
+        results = acceptance.run_all(tamper=number)
+        failed = [r.number for r in results if not r.passed]
+        assert failed == [number]
+        assert "tampered" in results[number - 1].detail
+
+
+def test_criterion_14_catches_a_sweep_that_changes(monkeypatch):
+    # the second run moves one cell by one ulp, which the 17-digit CSV
+    # keeps
+    original = experiment.sweep_rows
+    calls = []
+
+    def drifting(config, tikhonov=None):
+        rows = original(config, tikhonov)
+        calls.append(config)
+        if len(calls) == 2:
+            rows[0]["gain"] = np.nextafter(rows[0]["gain"], np.inf)
+        return rows
+
+    monkeypatch.setattr(experiment, "sweep_rows", drifting)
+    result = acceptance.criterion_14()
+    assert len(calls) == 2
+    assert not result.passed, result.detail

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from superdir import cli, coupling, fileio, impedance, linalg, surrogate
-from superdir.cli import ExperimentConfig
+from superdir import (cli, coupling, experiment, fileio, impedance, linalg,
+                      surrogate)
+from superdir.experiment import ExperimentConfig
 from superdir.coupling import PatternMeasurement
 from superdir.fileio import ValidationError
 from superdir.geometry import ArrayGeometry, hplane_grid
@@ -90,12 +91,28 @@ def test_sweep_takes_one_condition_and_two_z_solves_per_spacing(
         monkeypatch.setattr(module, "condition_number", counted_condition)
     monkeypatch.setattr(impedance, "gated_solve", counted_solve)
     config = ExperimentConfig.from_file(_write_config(tmp_path / "c.json"))
-    rows = cli._sweep_rows(config)
+    rows = experiment.sweep_rows(config)
     assert len(rows) == 4 * config.steps
     assert sum(conditions) == config.steps
     # Z^-1 e for the bound and Z^-1 e* for traditional, proposed and
     # theoretical
     assert z_solves == ["impedance matrix"] * (2 * config.steps)
+
+
+@pytest.mark.parametrize("methods", [[], ["mrt", "mrt"]],
+                         ids=["empty", "repeated"])
+def test_methods_must_name_each_method_once(tmp_path, capsys, methods):
+    # an empty list wrote a header-only sweep and no pattern; a repeated
+    # method wrote each of its rows twice
+    config = _write_config(tmp_path / "config.json", methods=methods)
+    for command in ("sweep", "pattern"):
+        capsys.readouterr()
+        assert cli.main([command, "--config", config,
+                         "--out", str(tmp_path / "out.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: methods " % (config,)), err
+    assert not [path for path in tmp_path.iterdir()
+                if path.name.startswith("out")]
 
 
 def test_sweep_deterministic_bytes(tmp_path):
@@ -644,6 +661,42 @@ def test_acceptance_tamper_exit_code(capsys):
     assert "criterion 14" in out
     assert "FAIL" in out
     assert "13/14 criteria passed" in out
+
+
+@pytest.mark.parametrize("value, code", [("0", 1), ("15", 1), ("-3", 1),
+                                         ("1", 3)])
+def test_tamper_takes_a_criterion_number(capsys, value, code):
+    # a number outside 1..14 tampered with nothing and passed 14/14; 14,
+    # the other end, is test_acceptance_tamper_exit_code's
+    assert cli.main(["acceptance", "--tamper", value]) == code
+    captured = capsys.readouterr()
+    if code == 1:
+        assert captured.err.startswith("error: argument --tamper: "), \
+            captured.err
+    else:
+        assert "13/14 criteria passed" in captured.out
+
+
+def test_unwritable_out_exits_1_naming_the_path(tmp_path, capsys):
+    # every writer raised FileNotFoundError or IsADirectoryError
+    geom, _, es, ec, _ = _dump_surrogate(tmp_path)
+    directory = _write_measurements(tmp_path, geom, es, ec)
+    dipoles = _write_config(tmp_path / "dipoles.json",
+                            geometry=fileio.geometry_to_dict(geom))
+    config = _write_config(tmp_path / "config.json")
+    missing = str(tmp_path / "missing" / "out")
+    for argv, out in (
+            (["sweep", "--config", config], missing),
+            (["sweep", "--config", config], str(tmp_path)),
+            (["pattern", "--config", config], missing),
+            (["estimate-c", "--es", str(tmp_path / "es" / "manifest.json"),
+              "--ec", str(tmp_path / "ec" / "manifest.json")], missing),
+            (["ingest", "--measurements", str(directory),
+              "--config", dipoles], missing)):
+        capsys.readouterr()
+        assert cli.main(argv + ["--out", out]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and out in err, err
 
 
 def test_dipole_sweep_down_to_tiny_spacing(tmp_path):

@@ -21,7 +21,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from superdir import cli, fileio
+from superdir import cli, experiment, fileio
 from superdir.coupling import PatternMeasurement
 from superdir.fileio import ValidationError
 from superdir.geometry import ArrayGeometry, hplane_grid
@@ -78,7 +78,7 @@ def _configs(draw):
                             ["isotropic", "ideal_dipole"])),
                         "steer_theta_deg": draw(_floats(0.0, 180.0)),
                         "steer_phi_deg": draw(_floats(-179.0, 180.0))},
-           "methods": draw(st.lists(st.sampled_from(cli.ALL_METHODS),
+           "methods": draw(st.lists(st.sampled_from(experiment.ALL_METHODS),
                                     unique=True, max_size=4)),
            "sweep": {"d_min": d_lo, "d_max": d_hi,
                      "steps": draw(st.integers(2, 3))},

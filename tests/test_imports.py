@@ -1,6 +1,7 @@
 """The package has no import cycle to work around: every import sits at
-module top except ``cli.cmd_acceptance``'s, since acceptance imports cli.
-Its runtime needs numpy alone: scipy is a test dependency only."""
+module top, and the front ends (``acceptance``, then ``cli``) sit above
+``experiment``, which runs the configured sweep for both.  Its runtime
+needs numpy alone: scipy is a test dependency only."""
 
 import ast
 import os
@@ -24,12 +25,12 @@ def _function_imports(path):
     return found
 
 
-def test_only_cmd_acceptance_imports_inside_a_function():
+def test_no_module_imports_inside_a_function():
     found = []
     for name in sorted(os.listdir(PACKAGE)):
         if name.endswith(".py"):
             found += _function_imports(os.path.join(PACKAGE, name))
-    assert found == [("cli.py", "cmd_acceptance")]
+    assert found == []
 
 
 # Each module's intra-package imports at module top, in an order where a
@@ -44,10 +45,12 @@ LAYERS = (
     ("surrogate", ("coupling", "geometry", "impedance", "linalg")),
     ("beamforming", ("linalg",)),
     ("fileio", ("coupling", "geometry")),
-    ("cli", ("beamforming", "coupling", "fileio", "geometry", "impedance",
-             "linalg", "surrogate")),
-    ("acceptance", ("beamforming", "cli", "coupling", "geometry",
-                    "impedance", "linalg", "surrogate")),
+    ("experiment", ("beamforming", "fileio", "geometry", "impedance",
+                    "surrogate")),
+    ("acceptance", ("beamforming", "coupling", "experiment", "fileio",
+                    "geometry", "impedance", "linalg", "surrogate")),
+    ("cli", ("acceptance", "beamforming", "coupling", "experiment", "fileio",
+             "geometry", "impedance", "linalg")),
     ("__init__", ("beamforming", "coupling", "geometry", "impedance",
                   "linalg", "surrogate")),
 )
@@ -117,6 +120,27 @@ codes = [
 assert all(r.passed for r in acceptance.run_all())
 print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
+
+
+RUN_AS_MAIN = """
+import runpy, sys
+sys.argv = ["superdir", "acceptance", "--tamper", "14"]
+try:
+    runpy.run_module("superdir.cli", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, "superdir.cli" in sys.modules)
+"""
+
+
+def test_acceptance_run_as_main_loads_cli_once(tmp_path):
+    # ``python -m superdir.cli acceptance`` ran cli.py a second time, as
+    # superdir.cli, when acceptance imported cli
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE),
+               TMPDIR=str(tmp_path))
+    done = subprocess.run([sys.executable, "-c", RUN_AS_MAIN], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "3 False", done.stdout
 
 
 def test_commands_run_without_loading_scipy(tmp_path):
