@@ -8,6 +8,7 @@ tolerance would, so the harness itself can be shown to fail loudly.
 
 import os
 import tempfile
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,6 +21,7 @@ from .geometry import (ArrayGeometry, Direction, hplane_grid, sphere_grid,
 from .linalg import gated_solve, singular_ratio
 
 SWEEP_SPACINGS = (0.5, 0.4, 0.3, 0.2, 0.1)
+_Recovery = namedtuple("_Recovery", "singular_ratio c_error symmetry")
 
 
 @dataclass
@@ -66,6 +68,20 @@ def _fields(m_count, spacing, element, grid):
     c_true = _c_true(geom)
     return geom, es, coupling.FieldMatrix(values=es.values @ c_true,
                                           grid=grid), c_true
+
+
+@lru_cache(maxsize=None)
+def _recovery(element, m_count, spacing):
+    """Scalars of one surrogate array on the full sphere: E_s's singular
+    ratio, the relative Frobenius error of C's full-grid estimate, and the
+    larger column-reversal residual of C_true and of that estimate."""
+    _, es, ec, c_true = _fields(m_count, spacing, element, _grid())
+    c_est = coupling.estimate_c_full(es, ec).values
+    return _Recovery(
+        singular_ratio(es.values),
+        float(np.linalg.norm(c_est - c_true) / np.linalg.norm(c_true)),
+        max(coupling.column_symmetry_residual(c_true),
+            coupling.column_symmetry_residual(c_est)))
 
 
 def _isotropic_endfire(m_count, spacing):
@@ -140,22 +156,22 @@ def criterion_3():
 
 def criterion_4():
     """Full-grid least squares recovers the surrogate C exactly."""
-    worst = 0.0
-    for m_count in (2, 4, 8):
-        for d in (0.1, 0.2, 0.3):
-            _, es, ec, c_true = _fields(m_count, d, "ideal_dipole", _grid())
-            c_est = coupling.estimate_c_full(es, ec)
-            gap = np.linalg.norm(c_est.values - c_true) / \
-                np.linalg.norm(c_true)
-            worst = max(worst, float(gap))
+    worst = max(_recovery("ideal_dipole", m_count, d).c_error
+                for m_count in (2, 4, 8) for d in (0.1, 0.2, 0.3))
     return _result(4, "c_recovery_oracle", worst, 1e-8,
                    "worst Frobenius relative error %.2e <= 1e-8" % (worst,))
 
 
-def _reduced_samples(geom, c_true, angles):
-    theta = np.full(len(angles), np.pi / 2)
-    a = steering_matrix(geom, theta, angles, "in_plane")
-    return a @ c_true
+def _reduced(geom, c_true, p):
+    """Reduced-angle estimate of C_true from ``p`` default angles, or
+    None when the solve refuses the angle set."""
+    angles = coupling.default_reduced_angles(p)
+    samples = steering_matrix(geom, np.full(p, np.pi / 2), angles,
+                              "in_plane") @ c_true
+    try:
+        return coupling.estimate_c_reduced(samples, angles, geom)
+    except ValueError:
+        return None
 
 
 def criterion_5():
@@ -166,33 +182,20 @@ def criterion_5():
         geom, es_h, ec_h, c_true = _fields(m_count, 0.3, "ideal_dipole",
                                            _hgrid())
         c_full = coupling.estimate_c_full(es_h, ec_h)
-        angles = coupling.default_reduced_angles(m_count // 2)
-        c_red = coupling.estimate_c_reduced(
-            _reduced_samples(geom, c_true, angles), angles, geom)
+        c_red = _reduced(geom, c_true, m_count // 2)
         gap = np.linalg.norm(c_red.values - c_full.values) / \
             np.linalg.norm(c_full.values)
         worst = max(worst, float(gap) / 1e-6)
         details.append("M=%d gap %.1e" % (m_count, gap))
-        short = coupling.default_reduced_angles(m_count // 2 - 1)
-        try:
-            coupling.estimate_c_reduced(
-                _reduced_samples(geom, c_true, short), short, geom)
+        if _reduced(geom, c_true, m_count // 2 - 1) is not None:
             worst = max(worst, 1.0 + 1e-9)
             details.append("M=%d short set accepted" % (m_count,))
-        except ValueError:
-            pass
     geom3 = _geom(3, 0.3, "ideal_dipole")
     c3 = _c_true(geom3)
-    two = coupling.default_reduced_angles(2)
-    try:
-        coupling.estimate_c_reduced(_reduced_samples(geom3, c3, two), two, geom3)
+    if _reduced(geom3, c3, 2) is not None:
         worst = max(worst, 1.0 + 1e-9)
         details.append("M=3 accepted P=2")
-    except ValueError:
-        pass
-    three = coupling.default_reduced_angles(3)
-    c3_red = coupling.estimate_c_reduced(
-        _reduced_samples(geom3, c3, three), three, geom3)
+    c3_red = _reduced(geom3, c3, 3)
     gap3 = np.linalg.norm(c3_red.values - c3) / np.linalg.norm(c3)
     worst = max(worst, float(gap3) / 1e-6)
     # pattern from the loop's last estimates: M=8, d=0.3, 4 angles
@@ -213,15 +216,9 @@ def criterion_5():
 
 def criterion_6():
     """Column-reversal symmetry of true and estimated C."""
-    worst = 0.0
-    for element in ("isotropic", "ideal_dipole"):
-        for m_count in (2, 4, 8):
-            for d in (0.1, 0.3):
-                _, es, ec, c_true = _fields(m_count, d, element, _grid())
-                c_est = coupling.estimate_c_full(es, ec)
-                worst = max(worst,
-                            coupling.column_symmetry_residual(c_true),
-                            coupling.column_symmetry_residual(c_est.values))
+    worst = max(_recovery(element, m_count, d).symmetry
+                for element in ("isotropic", "ideal_dipole")
+                for m_count in (2, 4, 8) for d in (0.1, 0.3))
     return _result(6, "column_reversal_symmetry", worst, 1e-8,
                    "worst residual %.2e <= 1e-8" % (worst,))
 
@@ -250,16 +247,9 @@ def criterion_7():
 def criterion_8():
     """Isolated-field matrices keep full column rank, so the cutoff least
     squares and the normal equations recover one coupling matrix."""
-    worst_ratio_err = 0.0
-    min_ratio = np.inf
-    for element in ("isotropic", "ideal_dipole"):
-        for m_count in (2, 4, 8):
-            for d in (0.1, 0.2, 0.3):
-                es = _fields(m_count, d, element, _grid())[1]
-                ratio = singular_ratio(es.values)
-                min_ratio = min(min_ratio, ratio)
-                if ratio <= 1e-6:
-                    worst_ratio_err = 1.0
+    min_ratio = min(_recovery(element, m_count, d).singular_ratio
+                    for element in ("isotropic", "ideal_dipole")
+                    for m_count in (2, 4, 8) for d in (0.1, 0.2, 0.3))
     _, es, ec, _ = _fields(4, 0.1, "ideal_dipole", _grid())
     c_svd = coupling.estimate_c_full(es, ec)
     c_normal, _ = gated_solve(es.values.conj().T @ es.values,
@@ -267,7 +257,7 @@ def criterion_8():
                               context="normal equations")
     path_gap = np.linalg.norm(c_svd.values - c_normal) / \
         np.linalg.norm(c_svd.values)
-    err = max(worst_ratio_err, float(path_gap) / 1e-9)
+    err = max(0.0 if min_ratio > 1e-6 else 1.0, float(path_gap) / 1e-9)
     return _result(8, "rank_uniqueness", err, 1.0,
                    "min singular ratio %.2e > 1e-6, solver path gap %.2e <= 1e-9" %
                    (min_ratio, path_gap))

@@ -95,7 +95,8 @@ def directivity(w, e, z, r_loss=0.0):
 def max_directivity(z, e, tikhonov=None):
     """Upper bound e^H Z^-1 e over all excitations."""
     e = np.asarray(e, dtype=complex)
-    x = z.solve(e, tikhonov)
+    # Z is real, so Z^-1 e = conj(Z^-1 e*): the solve the syntheses make
+    x = np.conj(z.solve(np.conj(e), tikhonov))
     return float(np.real(np.vdot(e, x)) / z.self_power)
 
 

@@ -75,6 +75,9 @@ def _reduced_from_fields(ec, geom, n_angles):
 
 
 def cmd_estimate_c(args):
+    if args.measurements and (args.es or args.ec):
+        raise ValidationError("estimate-c takes either --es and --ec or "
+                              "--measurements, not both")
     if args.measurements:
         if not args.config:
             raise ValidationError("--measurements requires --config for geometry")

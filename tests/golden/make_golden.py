@@ -18,6 +18,8 @@ import os
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_name] = "1"
 
+import contextlib
+import io
 import json
 import sys
 
@@ -114,12 +116,21 @@ def _field_files(out):
           "--out", os.path.join(ingest, "run")])
 
 
+def _acceptance(out):
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        _run(["acceptance"])
+    with open(os.path.join(out, "acceptance.txt"), "w") as handle:
+        handle.write(report.getvalue())
+
+
 def main(argv):
     if len(argv) != 1:
         raise SystemExit("usage: make_golden.py <output-dir>")
     out = argv[0]
     _synthesis(out)
     _field_files(out)
+    _acceptance(out)
     return 0
 
 

@@ -5,9 +5,11 @@ per-criterion pass/fail report; the detail string lands in the assert
 message on failure.
 """
 
+from collections import Counter
+
 import numpy as np
 
-from superdir import acceptance, experiment
+from superdir import acceptance, experiment, surrogate
 
 
 def _check(result):
@@ -104,3 +106,26 @@ def test_criterion_14_catches_a_sweep_that_changes(monkeypatch):
     result = acceptance.criterion_14()
     assert len(calls) == 2
     assert not result.passed, result.detail
+
+
+def test_each_surrogate_array_is_built_once_per_cold_run(monkeypatch):
+    # criteria 4, 6 and 8 read one record per array: 18 arrays on the
+    # full sphere plus criterion 8's normal-equations check, and the
+    # three H-plane arrays of criteria 5 and 13.  Every cache is cleared
+    # before each run, as the benchmark's cold runs do, so the second run
+    # must build them all again.
+    original = surrogate.isolated_fields
+    builds = []
+
+    def counted(geom, grid):
+        builds.append(grid.kind)
+        return original(geom, grid)
+
+    monkeypatch.setattr(surrogate, "isolated_fields", counted)
+    for _ in range(2):
+        for value in vars(acceptance).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+        builds.clear()
+        acceptance.run_all()
+        assert Counter(builds) == {"full_sphere": 19, "h_plane": 3}

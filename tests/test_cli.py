@@ -73,7 +73,7 @@ def test_sweep_writes_all_methods(tmp_path):
                             rtol=1e-9)
 
 
-def test_sweep_takes_one_condition_and_two_z_solves_per_spacing(
+def test_sweep_takes_one_condition_and_one_z_solve_per_spacing(
         tmp_path, monkeypatch):
     conditions, z_solves = [], []
     original_condition = linalg.condition_number
@@ -94,9 +94,9 @@ def test_sweep_takes_one_condition_and_two_z_solves_per_spacing(
     rows = experiment.sweep_rows(config)
     assert len(rows) == 4 * config.steps
     assert sum(conditions) == config.steps
-    # Z^-1 e for the bound and Z^-1 e* for traditional, proposed and
-    # theoretical
-    assert z_solves == ["impedance matrix"] * (2 * config.steps)
+    # Z^-1 e* serves traditional, proposed and theoretical, and its
+    # conjugate Z^-1 e the bound
+    assert z_solves == ["impedance matrix"] * config.steps
 
 
 @pytest.mark.parametrize("methods", [[], ["mrt", "mrt"]],
@@ -415,6 +415,27 @@ def test_estimate_c_from_measurements(tmp_path):
                      "--config", config, "--out", str(out)]) == 0
     c = fileio.read_c_json(out)
     assert_allclose(c.values, c_true.values, atol=1e-9)
+
+
+@pytest.mark.parametrize("dumps", [["es"], ["ec"], ["es", "ec"]],
+                         ids=["es", "ec", "both"])
+def test_estimate_c_takes_one_source(tmp_path, capsys, dumps):
+    # the measurements were used and the dumps dropped without a word
+    geom, _, es, ec, _ = _dump_surrogate(tmp_path)
+    directory = _write_measurements(tmp_path, geom, es, ec)
+    config = _write_config(tmp_path / "config.json",
+                           geometry=fileio.geometry_to_dict(geom))
+    out = tmp_path / "c.json"
+    argv = ["estimate-c", "--measurements", str(directory), "--config",
+            config, "--out", str(out)]
+    for name in dumps:
+        argv += ["--" + name, str(tmp_path / name / "manifest.json")]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: estimate-c takes either --es and --ec or --measurements, "
+        "not both\n")
+    assert not out.exists()
 
 
 def test_ingest_outputs_z_and_c(tmp_path):
