@@ -42,11 +42,6 @@ def _grid():
     return sphere_grid(64, 128)
 
 
-@lru_cache(maxsize=None)
-def _hgrid():
-    return hplane_grid(1.0)
-
-
 def _geom(m_count, spacing, element):
     return ArrayGeometry(element_count=m_count, spacing=spacing,
                          element=element)
@@ -180,7 +175,7 @@ def criterion_5():
     details = []
     for m_count in (4, 8):
         geom, es_h, ec_h, c_true = _fields(m_count, 0.3, "ideal_dipole",
-                                           _hgrid())
+                                           hplane_grid(1.0))
         c_full = coupling.estimate_c_full(es_h, ec_h)
         c_red = _reduced(geom, c_true, m_count // 2)
         gap = np.linalg.norm(c_red.values - c_full.values) / \
@@ -200,7 +195,7 @@ def criterion_5():
     worst = max(worst, float(gap3) / 1e-6)
     # pattern from the loop's last estimates: M=8, d=0.3, 4 angles
     _, z, e, _ = _dipole_setup(8, 0.3)
-    phi = _hgrid().phi
+    phi = hplane_grid(1.0).phi
     cut = steering_matrix(geom, np.full(len(phi), np.pi / 2), phi, "in_plane")
     db = []
     for c_used in (c_full, c_red):
@@ -348,7 +343,7 @@ def criterion_12():
     worst = np.inf
     for d in SWEEP_SPACINGS:
         geom, z, e, c_true = _dipole_setup(4, d)
-        z_h = impedance.z_hplane(geom, _hgrid())
+        z_h = impedance.z_hplane(geom, hplane_grid(1.0))
         _, w = beamforming.synthesize("proposed", z_h, e, c_true)
         d_h = beamforming.directivity(w, e, z)
         d_full = beamforming.max_directivity(z, e)
@@ -360,7 +355,7 @@ def criterion_12():
 
 def criterion_13():
     """Synthetic measurements round-trip to the direct Z and C."""
-    grid = _hgrid()
+    grid = hplane_grid(1.0)
     geom, es, ec, c_true = _fields(4, 0.3, "ideal_dipole", grid)
     phi_deg = np.rad2deg(grid.phi)
 
@@ -371,8 +366,7 @@ def criterion_13():
             out.append(coupling.PatternMeasurement(
                 phi_deg=phi_deg,
                 amplitude=np.abs(rows[:, m]) ** 2,
-                phase_deg=np.rad2deg(np.angle(rows[:, m])),
-                antenna_index=m))
+                phase_deg=np.rad2deg(np.angle(rows[:, m]))))
         return out
 
     es_meas = coupling.fields_from_measurements(to_measurements(es))

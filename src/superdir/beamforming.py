@@ -154,6 +154,30 @@ def _circular_distance_deg(a, b):
     return abs((a - b + 180.0) % 360.0 - 180.0)
 
 
+def _walk(power, start, direction, half, step):
+    """Walk the cut from sample ``start`` one step at a time in
+    ``direction`` (+1 or -1), wrapping around the circle: the index of the
+    first local minimum and the angular offset of the first drop below
+    ``half``, interpolated linearly on power; None for either one the
+    walk never reaches."""
+    n = len(power)
+    minimum = offset_half = None
+    i = start
+    offset = 0.0
+    for _ in range(n - 1):
+        j = (i + direction) % n
+        if minimum is None and power[j] > power[i]:
+            minimum = i
+        if offset_half is None and power[j] < half:
+            frac = (power[i] - half) / (power[i] - power[j])
+            offset_half = offset + frac * step
+        if minimum is not None and offset_half is not None:
+            break
+        offset += step
+        i = j
+    return minimum, offset_half
+
+
 def pattern_metrics(power, angles_deg, steer_deg):
     """3-dB beamwidth and peak sidelobe level of a full-circle cut.
 
@@ -178,62 +202,27 @@ def pattern_metrics(power, angles_deg, steer_deg):
     if peak <= 0.0:
         raise ValueError("steer direction has zero power; no main lobe")
 
-    step = angles_deg[1] - angles_deg[0]
-
-    def first_minimum(direction):
-        i = peak_idx
-        for _ in range(n - 1):
-            j = (i + direction) % n
-            if power[j] > power[i]:
-                return i
-            i = j
-        return None
-
-    def half_power_offset(direction):
-        half = 0.5 * peak
-        i = peak_idx
-        offset = 0.0
-        for _ in range(n - 1):
-            j = (i + direction) % n
-            if power[j] < half:
-                frac = (power[i] - half) / (power[i] - power[j])
-                return offset + frac * step
-            offset += step
-            i = j
-        return None
-
-    right_min = first_minimum(+1)
-    left_min = first_minimum(-1)
-    right_cross = half_power_offset(+1)
-    left_cross = half_power_offset(-1)
-
-    if right_cross is None or left_cross is None:
+    # the walks compare Python floats, cheaper than numpy scalars
+    values = power.tolist()
+    half = 0.5 * float(peak)
+    step = float(angles_deg[1] - angles_deg[0])
+    right_min, right_half = _walk(values, peak_idx, +1, half, step)
+    left_min, left_half = _walk(values, peak_idx, -1, half, step)
+    if right_half is None or left_half is None:
         beamwidth = 360.0
     else:
-        beamwidth = right_cross + left_cross
-
-    if right_min is None or left_min is None or right_min == left_min:
-        # fewer than two local minima: a single lobe has no sidelobes
-        return PatternMetrics(beamwidth_3db_deg=beamwidth,
-                              psll_db=float("nan"))
-
-    # the main lobe runs right from left_min through the peak to right_min,
-    # across the +-180 degree seam when left_min > right_min
-    index = np.arange(n)
-    if left_min <= right_min:
-        inside = (index >= left_min) & (index <= right_min)
-    else:
-        inside = (index >= left_min) | (index <= right_min)
-    outside = power[~inside]
-    if not outside.size:
-        return PatternMetrics(beamwidth_3db_deg=beamwidth,
-                              psll_db=float("nan"))
-    highest = outside.max()
-    if highest <= 0.0:
-        psll = DELTA_F_FLOOR_DB
-    else:
-        psll = float(10.0 * np.log10(highest / peak))
-    return PatternMetrics(beamwidth_3db_deg=beamwidth, psll_db=min(psll, 0.0))
+        beamwidth = right_half + left_half
+    psll = float("nan")  # fewer than two local minima: no sidelobes
+    if None not in (right_min, left_min) and right_min != left_min:
+        # the main lobe runs right from left_min through the peak to
+        # right_min, across the +-180 degree seam when left_min > right_min;
+        # it never fills the circle: its ends would be neighbours, each
+        # strictly below the other
+        lobe = np.arange(left_min, left_min + (right_min - left_min) % n + 1)
+        highest = np.delete(power, lobe % n).max()
+        psll = (DELTA_F_FLOOR_DB if highest <= 0.0 else
+                min(float(10.0 * np.log10(highest / peak)), 0.0))
+    return PatternMetrics(beamwidth_3db_deg=beamwidth, psll_db=psll)
 
 
 def eig_crosscheck(z, e):

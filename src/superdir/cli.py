@@ -85,6 +85,12 @@ def cmd_estimate_c(args):
         es, ec = _measured_fields(args, geom)
         source = args.measurements
     elif args.es and args.ec:
+        for flag, value in (("--config", args.config),
+                            ("--amplitude", args.amplitude)):
+            if value is not None:
+                raise ValidationError("estimate-c takes %s with "
+                                      "--measurements, not with --es and "
+                                      "--ec" % (flag,))
         source = "%s and %s" % (args.es, args.ec)
         es, geom = fileio.read_field_dump(args.es)
         ec, geom_ec = fileio.read_field_dump(args.ec)
@@ -108,7 +114,7 @@ def cmd_estimate_c(args):
 def _measured_fields(args, geom):
     """(E_s, E_c) of the isolated_<k>.csv and coupled_<k>.csv files,
     k = 1..M in numeric order, in ``args.measurements``, read with
-    ``args.amplitude``."""
+    ``args.amplitude`` (power when not given)."""
     directory = args.measurements
     m_count = geom.element_count
     fields = []
@@ -127,11 +133,10 @@ def _measured_fields(args, geom):
                 "%s: %s files must be numbered 1 to %d; %s is missing" %
                 (directory, prefix, m_count, missing[0]))
         paths = [os.path.join(directory, name) for name in names]
-        measurements = [fileio.read_measurement_csv(path, antenna_index=i)
-                        for i, path in enumerate(paths)]
+        measurements = [fileio.read_measurement_csv(path) for path in paths]
         try:
             fields.append(coupling.fields_from_measurements(
-                measurements, args.amplitude))
+                measurements, args.amplitude or "power"))
         except ValueError as exc:
             raise ValidationError("%s: %s" % (directory, exc)) from exc
     return tuple(fields)
@@ -186,8 +191,8 @@ class _Parser(argparse.ArgumentParser):
 def build_parser():
     amplitude = _Parser(add_help=False)
     amplitude.add_argument("--amplitude", choices=("power", "field"),
-                           default="power",
-                           help="measurement amplitude column semantics")
+                           help="measurement amplitude column semantics "
+                           "(default power)")
     parser = _Parser(prog="superdir",
                      description="superdirective array beamforming toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

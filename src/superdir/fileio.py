@@ -186,7 +186,7 @@ def _read_table(path, header):
     return table, linenos
 
 
-def read_measurement_csv(path, antenna_index=0):
+def read_measurement_csv(path):
     """Parse one measurement file: columns phi_deg, amplitude, phase_deg.
 
     The header row is mandatory and phi must ascend from -180 exclusive
@@ -203,8 +203,7 @@ def read_measurement_csv(path, antenna_index=0):
             "%s: phi_deg must lie in (-180, 180]" % (path,))
     if amp.min() < 0.0:
         raise ValidationError("%s: negative amplitude sample" % (path,))
-    return PatternMeasurement(phi_deg=phi, amplitude=amp, phase_deg=phase,
-                              antenna_index=antenna_index)
+    return PatternMeasurement(phi_deg=phi, amplitude=amp, phase_deg=phase)
 
 
 def write_measurement_csv(path, measurement):

@@ -321,8 +321,11 @@ def _pattern_metrics_scalar(power, angles_deg, steer_deg):
 
 def _pattern_cases():
     rng = np.random.default_rng(11)
-    for step in (1.0, 0.5, 2.0):
-        angles = np.rad2deg(hplane_grid(step).phi)
+    # a 1.2-degree cut from 0 has a step of exactly 1.2, and an offset
+    # summed step by step parts from k * step at the 6th step (the step of
+    # hplane_grid(1.2), 1.200000000000017, only parts at the 218th)
+    cuts = [np.rad2deg(hplane_grid(step).phi) for step in (1.0, 0.5, 2.0)]
+    for angles in cuts + [1.2 * np.arange(300)]:
         for _ in range(40):
             geom = ArrayGeometry(element_count=int(rng.integers(2, 17)),
                                  spacing=float(rng.uniform(0.05, 0.6)))
@@ -352,7 +355,20 @@ def test_pattern_metrics_matches_scalar_walk():
         assert np.array_equal(np.array(got), np.array(want),
                               equal_nan=True), (steer, got, want)
         count += 1
-    assert count == 3 * 41 + 4
+    assert count == 4 * 41 + 4
+
+
+def test_pattern_metrics_refusals():
+    angles = np.arange(-179.0, 181.0)
+    power = np.exp(-0.5 * (angles / 8.0) ** 2)
+    for p, a in ((power[:3], angles[:3]), (power, angles[:-1])):
+        with pytest.raises(ValueError, match="need matching power and "
+                           "angle arrays over the circle"):
+            pattern_metrics(p, a, 0.0)
+    with pytest.raises(ValueError, match="must cover the full circle"):
+        pattern_metrics(power[:180], angles[:180], 0.0)
+    with pytest.raises(ValueError, match="steer direction has zero power"):
+        pattern_metrics(np.where(angles == 90.0, 0.0, power), angles, 90.0)
 
 
 def test_eig_crosscheck_closed_form():

@@ -417,24 +417,37 @@ def test_estimate_c_from_measurements(tmp_path):
     assert_allclose(c.values, c_true.values, atol=1e-9)
 
 
-@pytest.mark.parametrize("dumps", [["es"], ["ec"], ["es", "ec"]],
-                         ids=["es", "ec", "both"])
-def test_estimate_c_takes_one_source(tmp_path, capsys, dumps):
-    # the measurements were used and the dumps dropped without a word
+BOTH_SOURCES = ("error: estimate-c takes either --es and --ec or "
+                "--measurements, not both\n")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["measurements", "config", "es"], BOTH_SOURCES),
+    (["measurements", "config", "ec"], BOTH_SOURCES),
+    (["measurements", "config", "es", "ec"], BOTH_SOURCES),
+    (["es", "ec", "config"], "error: estimate-c takes --config with "
+     "--measurements, not with --es and --ec\n"),
+    (["es", "ec", "amplitude"], "error: estimate-c takes --amplitude with "
+     "--measurements, not with --es and --ec\n"),
+], ids=["es", "ec", "both", "config", "amplitude"])
+def test_estimate_c_takes_one_source(tmp_path, capsys, flags, message):
+    # the flags of one source were dropped without a word: the dumps
+    # beside the measurements, and --config and --amplitude beside the dumps
     geom, _, es, ec, _ = _dump_surrogate(tmp_path)
-    directory = _write_measurements(tmp_path, geom, es, ec)
-    config = _write_config(tmp_path / "config.json",
-                           geometry=fileio.geometry_to_dict(geom))
+    values = {
+        "measurements": str(_write_measurements(tmp_path, geom, es, ec)),
+        "config": _write_config(tmp_path / "config.json",
+                                geometry=fileio.geometry_to_dict(geom)),
+        "es": str(tmp_path / "es" / "manifest.json"),
+        "ec": str(tmp_path / "ec" / "manifest.json"),
+        "amplitude": "power"}
     out = tmp_path / "c.json"
-    argv = ["estimate-c", "--measurements", str(directory), "--config",
-            config, "--out", str(out)]
-    for name in dumps:
-        argv += ["--" + name, str(tmp_path / name / "manifest.json")]
+    argv = ["estimate-c", "--out", str(out)]
+    for name in flags:
+        argv += ["--" + name, values[name]]
     capsys.readouterr()
     assert cli.main(argv) == 1
-    assert capsys.readouterr().err == (
-        "error: estimate-c takes either --es and --ec or --measurements, "
-        "not both\n")
+    assert capsys.readouterr().err == message
     assert not out.exists()
 
 

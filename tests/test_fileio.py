@@ -58,7 +58,8 @@ def test_field_dump_manifest_grid_needs_integers(tmp_path):
     manifest = fileio.write_field_dump(
         root, isolated_fields(geom, hplane_grid(2.0)), geom,
         {"kind": "h_plane", "step_deg": 2.0})
-    doc = json.loads(open(manifest).read())
+    with open(manifest) as handle:
+        doc = json.load(handle)
     doc["grid"] = {"kind": "full_sphere", "n_theta": 64.5, "n_phi": 128}
     with open(manifest, "w") as handle:
         json.dump(doc, handle)
@@ -88,7 +89,8 @@ def test_field_dump_manifest_sections_must_be_objects(tmp_path):
     manifest = fileio.write_field_dump(
         tmp_path / "dump", isolated_fields(geom, hplane_grid(2.0)), geom,
         {"kind": "h_plane", "step_deg": 2.0})
-    good = json.loads(open(manifest).read())
+    with open(manifest) as handle:
+        good = json.load(handle)
     for key in ("geometry", "grid"):
         for value in (None, 5, [1], "h_plane"):
             with open(manifest, "w") as handle:
@@ -103,16 +105,14 @@ def test_measurement_csv_roundtrip(tmp_path):
     phi = np.arange(-179.0, 181.0, 1.0)
     meas = PatternMeasurement(phi_deg=phi,
                               amplitude=np.abs(np.sin(np.deg2rad(phi))) + 0.1,
-                              phase_deg=np.linspace(-170.0, 170.0, 360),
-                              antenna_index=2)
+                              phase_deg=np.linspace(-170.0, 170.0, 360))
     path = tmp_path / "meas.csv"
     fileio.write_measurement_csv(path, meas)
-    back = fileio.read_measurement_csv(path, antenna_index=2)
+    back = fileio.read_measurement_csv(path)
     # 17 significant digits reproduce doubles exactly
     assert np.array_equal(back.phi_deg, meas.phi_deg)
     assert np.array_equal(back.amplitude, meas.amplitude)
     assert np.array_equal(back.phase_deg, meas.phase_deg)
-    assert back.antenna_index == 2
 
 
 def test_measurement_csv_bad_header(tmp_path):
