@@ -7,8 +7,8 @@ theoretical directivity bound under both couplings.
 """
 
 from .beamforming import (PatternMetrics, delta_f_from_patterns, directivity,
-                          eig_crosscheck, loss_resistance, max_directivity,
-                          mrt_vector, pattern_metrics, power_decomposition,
+                          loss_resistance, max_directivity, mrt_vector,
+                          pattern_metrics, power_decomposition,
                           proposed_vector, traditional_vector)
 from .coupling import (CouplingMatrix, FieldMatrix, PatternMeasurement,
                        column_symmetry_residual, default_reduced_angles,
@@ -31,9 +31,9 @@ __all__ = [
     "PatternMetrics",
     "TerminationSpec", "column_symmetry_residual", "condition_number",
     "coupled_fields", "coupling_truth", "default_reduced_angles",
-    "delta_f_from_patterns", "directivity", "eig_crosscheck",
-    "estimate_c_full", "estimate_c_reduced", "fields_from_measurements",
-    "gated_solve", "hplane_grid", "isolated_fields",
+    "delta_f_from_patterns", "directivity", "estimate_c_full",
+    "estimate_c_reduced", "fields_from_measurements", "gated_solve",
+    "hplane_grid", "isolated_fields",
     "loss_resistance", "max_directivity", "minimum_angles", "mrt_vector",
     "mutual_impedance_emf", "pattern_metrics", "port_impedance_for",
     "power_decomposition", "proposed_vector",

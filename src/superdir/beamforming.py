@@ -224,24 +224,3 @@ def pattern_metrics(power, angles_deg, steer_deg):
                 min(float(10.0 * np.log10(highest / peak)), 0.0))
     return PatternMetrics(beamwidth_3db_deg=beamwidth, psll_db=psll)
 
-
-def eig_crosscheck(z, e):
-    """Relative gap between the dominant eigenvalue of Z^-1 e e^H and
-    the closed form e^H Z^-1 e, via 20 steps of power iteration (rank-1
-    operator) from a seeded random start.
-    """
-    e = np.asarray(e, dtype=complex)
-    t = z.solve(e)
-    oracle = float(np.real(np.vdot(e, t)))
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(len(e)) + 1j * rng.standard_normal(len(e))
-    lam = 0.0
-    for _ in range(20):
-        y = t * np.vdot(e, x)
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            x = rng.standard_normal(len(e)) + 1j * rng.standard_normal(len(e))
-            continue
-        x = y / norm
-        lam = float(np.real(np.vdot(x, t * np.vdot(e, x))))
-    return abs(lam - oracle) / abs(oracle)

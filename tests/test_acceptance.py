@@ -8,8 +8,9 @@ message on failure.
 from collections import Counter
 
 import numpy as np
+import pytest
 
-from superdir import acceptance, experiment, surrogate
+from superdir import acceptance, experiment, impedance, surrogate
 
 
 def _check(result):
@@ -51,6 +52,25 @@ def test_criterion_08_rank_uniqueness():
 
 def test_criterion_09_rayleigh_bound():
     _check(acceptance.criterion_9())
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda x: 2.0 * x,
+    lambda x: (1.0 + 1e-6) * x,
+    # nowhere near Z^-1 rhs
+    lambda x: 3.7 * x[::-1] + 0.2j,
+], ids=["times_2", "times_1_plus_1e-6", "reversed"])
+def test_criterion_09_fails_on_a_wrong_solve(monkeypatch, wrong):
+    # the bound e^H Z^-1 e comes from ImpedanceMatrix.solve; the eigh path
+    # that criterion 9 checks it against does not call it
+    original = impedance.ImpedanceMatrix.solve
+
+    def skewed(self, rhs, tikhonov=None):
+        return wrong(original(self, rhs, tikhonov))
+
+    monkeypatch.setattr(impedance.ImpedanceMatrix, "solve", skewed)
+    result = acceptance.criterion_9()
+    assert not result.passed, result.detail
 
 
 def test_criterion_10_loss_analysis():

@@ -4,11 +4,11 @@ from numpy.testing import assert_allclose
 
 from superdir import beamforming
 from superdir.beamforming import (DELTA_F_FLOOR_DB, delta_f_from_patterns,
-                                  directivity, eig_crosscheck,
-                                  loss_resistance, max_directivity,
-                                  mrt_vector, pattern_metrics,
-                                  power_decomposition, proposed_vector,
-                                  synthesize, traditional_vector)
+                                  directivity, loss_resistance,
+                                  max_directivity, mrt_vector,
+                                  pattern_metrics, power_decomposition,
+                                  proposed_vector, synthesize,
+                                  traditional_vector)
 from superdir.geometry import (ArrayGeometry, Direction, hplane_grid,
                                sphere_grid, steering_matrix, steering_vector)
 from superdir.impedance import (ImpedanceMatrix, port_impedance_for,
@@ -369,11 +369,6 @@ def test_pattern_metrics_refusals():
         pattern_metrics(power[:180], angles[:180], 0.0)
     with pytest.raises(ValueError, match="steer direction has zero power"):
         pattern_metrics(np.where(angles == 90.0, 0.0, power), angles, 90.0)
-
-
-def test_eig_crosscheck_closed_form():
-    _, z, e = _pair()
-    assert eig_crosscheck(z, e) < 1e-9
 
 
 def test_mrt_vector_rejects_zero():
