@@ -18,7 +18,7 @@ from . import (beamforming, coupling, experiment, fileio, impedance,
                surrogate)
 from .geometry import (ArrayGeometry, Direction, hplane_grid, sphere_grid,
                        steering_matrix, steering_vector)
-from .linalg import gated_solve, singular_ratio
+from .linalg import gated_solve
 
 SWEEP_SPACINGS = (0.5, 0.4, 0.3, 0.2, 0.1)
 _Recovery = namedtuple("_Recovery", "singular_ratio c_error symmetry")
@@ -71,9 +71,10 @@ def _recovery(element, m_count, spacing):
     ratio, the relative Frobenius error of C's full-grid estimate, and the
     larger column-reversal residual of C_true and of that estimate."""
     _, es, ec, c_true = _fields(m_count, spacing, element, _grid())
-    c_est = coupling.estimate_c_full(es, ec).values
+    est = coupling.estimate_c_full(es, ec)
+    c_est = est.values
     return _Recovery(
-        singular_ratio(es.values),
+        est.singular_ratio,
         float(np.linalg.norm(c_est - c_true) / np.linalg.norm(c_true)),
         max(coupling.column_symmetry_residual(c_true),
             coupling.column_symmetry_residual(c_est)))

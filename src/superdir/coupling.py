@@ -45,11 +45,13 @@ class FieldMatrix:
 
 @dataclass
 class CouplingMatrix:
-    """Complex field coupling matrix with estimation metadata."""
+    """Complex field coupling matrix with estimation metadata, among it
+    the singular ratio of the matrix an estimate was solved against."""
 
     values: np.ndarray
     condition: float = float("nan")
     residual: float = 0.0
+    singular_ratio: float = float("nan")
 
     @property
     def flagged(self):
@@ -78,24 +80,34 @@ class PatternMeasurement:
 
 def estimate_c_full(es, ec):
     """Least-squares estimate of C from full sampled fields, by an
-    orthogonal factorization with singular-value cutoff."""
+    orthogonal factorization with singular-value cutoff.
+
+    When the E_phi rows of both fields are all zero, as they are for
+    every element kind and for measured H-plane fields, they add nothing
+    to the solve or its residual, and only the E_theta rows are solved.
+    """
     if not es.grid.same_points(ec.grid):
         raise ValueError("isolated and coupled fields use different grids")
     if es.values.shape != ec.values.shape:
         raise ValueError("field matrices must have matching shapes")
-    c, ratio = lstsq_cutoff(es.values, ec.values)
+    if es.phi_rows().any() or ec.phi_rows().any():
+        design, samples = es.values, ec.values
+    else:
+        design, samples = es.theta_rows(), ec.theta_rows()
+    c, ratio = lstsq_cutoff(design, samples)
     if ratio <= RANK_GATE:
         raise ValueError(
             "isolated field matrix is rank deficient "
             "(singular value ratio %.3e)" % (ratio,))
-    return _estimate(c, es.values, ec.values)
+    return _estimate(c, design, samples, ratio)
 
 
-def _estimate(c, design, samples):
-    """``c`` as a CouplingMatrix, with its condition number and the
-    relative residual ||design c - samples|| / ||samples||.  A ``c``
-    whose condition number is not finite (a coupled field that is zero)
-    raises ValueError: it cannot be written as JSON."""
+def _estimate(c, design, samples, ratio):
+    """``c`` as a CouplingMatrix, with its condition number, the
+    relative residual ||design c - samples|| / ||samples|| and the
+    singular ratio ``ratio`` of the solve.  A ``c`` whose condition
+    number is not finite (a coupled field that is zero) raises
+    ValueError: it cannot be written as JSON."""
     condition = condition_number(c)
     if not np.isfinite(condition):
         raise ValueError("estimated coupling matrix is singular (condition "
@@ -105,7 +117,7 @@ def _estimate(c, design, samples):
     denom = np.linalg.norm(samples)
     residual = float(res / denom) if denom > 0.0 else float(res)
     return CouplingMatrix(values=c, condition=condition,
-                          residual=residual)
+                          residual=residual, singular_ratio=ratio)
 
 
 def default_reduced_angles(p):
@@ -157,7 +169,7 @@ def estimate_c_reduced(ec_samples, angles_phi, geom):
         c, ratio = lstsq_cutoff(a, ec_samples)
     if ratio < 1e-10:
         raise ValueError("angle set is degenerate for the reduced solve")
-    return _estimate(c, a, ec_samples)
+    return _estimate(c, a, ec_samples, ratio)
 
 
 def fields_from_measurements(measurements, amplitude_kind="power"):

@@ -149,3 +149,23 @@ def test_each_surrogate_array_is_built_once_per_cold_run(monkeypatch):
         builds.clear()
         acceptance.run_all()
         assert Counter(builds) == {"full_sphere": 19, "h_plane": 3}
+
+
+def test_recovery_takes_no_second_svd_of_the_isolated_fields(monkeypatch):
+    # the singular ratio comes from the least squares that estimates C
+    original = np.linalg.svd
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    acceptance._recovery.cache_clear()
+    try:
+        record = acceptance._recovery("ideal_dipole", 8, 0.1)
+    finally:
+        acceptance._recovery.cache_clear()
+    assert 0.0 < record.singular_ratio < 1e-5
+    assert (2 * acceptance._grid().size, 8) not in shapes
+    assert all(rows <= 8 for rows, _ in shapes)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from superdir.coupling import (CouplingMatrix, FieldMatrix,
                                PatternMeasurement, column_symmetry_residual,
@@ -10,7 +10,7 @@ from superdir.coupling import (CouplingMatrix, FieldMatrix,
 from superdir.geometry import (ArrayGeometry, hplane_grid, sphere_grid,
                                steering_matrix)
 from superdir.impedance import port_impedance_for
-from superdir.linalg import gated_solve
+from superdir.linalg import gated_solve, lstsq_cutoff, singular_ratio
 from superdir.surrogate import TerminationSpec, coupled_fields, isolated_fields
 
 
@@ -41,6 +41,66 @@ def test_solver_paths_agree():
     c_normal, _ = gated_solve(es.values.conj().T @ es.values,
                               es.values.conj().T @ ec.values)
     assert_allclose(c_svd.values, c_normal, atol=1e-9)
+
+
+def _with_phi_rows(fields, rng):
+    values = fields.values.copy()
+    values[1::2] = rng.standard_normal(values[1::2].shape) + \
+        1j * rng.standard_normal(values[1::2].shape)
+    return FieldMatrix(values=values, grid=fields.grid)
+
+
+def test_full_estimation_solves_every_row_when_e_phi_carries_field():
+    # a field with E_phi takes the solve over all rows, bit for bit
+    rng = np.random.default_rng(7)
+    grid = hplane_grid(10.0)
+    _, es, _, c_true = _surrogate_pair(4, 0.2, grid)
+    es = _with_phi_rows(es, rng)
+    ec = FieldMatrix(values=es.values @ c_true.values, grid=grid)
+    c_est = estimate_c_full(es, ec)
+    c_all, ratio = lstsq_cutoff(es.values, ec.values)
+    assert_array_equal(c_est.values, c_all)
+    assert c_est.singular_ratio == ratio
+    assert_allclose(c_est.values, c_true.values, atol=1e-12)
+
+
+def test_full_estimation_residual_keeps_coupled_e_phi_rows():
+    # E_s has no E_phi but E_c does: no C reaches those rows, and the
+    # residual must count them
+    rng = np.random.default_rng(8)
+    grid = hplane_grid(10.0)
+    _, es, ec, _ = _surrogate_pair(4, 0.2, grid)
+    ec = _with_phi_rows(ec, rng)
+    c_est = estimate_c_full(es, ec)
+    c_all, _ = lstsq_cutoff(es.values, ec.values)
+    assert_array_equal(c_est.values, c_all)
+    missed = np.linalg.norm(ec.phi_rows()) / np.linalg.norm(ec.values)
+    assert missed > 0.1
+    assert_allclose(c_est.residual, missed, rtol=1e-12)
+
+
+@pytest.mark.parametrize("element", ["isotropic", "ideal_dipole"])
+def test_full_estimation_keeps_the_singular_ratio_of_e_s(element):
+    geom = ArrayGeometry(element_count=8, spacing=0.1, element=element)
+    grid = sphere_grid(64, 128)
+    es = isolated_fields(geom, grid)
+    ec, _ = coupled_fields(geom, grid, port_impedance_for(geom))
+    c_est = estimate_c_full(es, ec)
+    assert_allclose(c_est.singular_ratio, singular_ratio(es.values),
+                    rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("m_count", [4, 3])
+def test_reduced_estimation_keeps_the_singular_ratio(m_count):
+    # an even array solves its stacked column pairs, an odd one the cut
+    geom, _, _, c_true = _surrogate_pair(m_count, 0.3, hplane_grid(1.0))
+    angles = default_reduced_angles(minimum_angles(m_count))
+    a = steering_matrix(geom, np.full(len(angles), np.pi / 2), angles,
+                        "in_plane")
+    design = np.vstack([a, a[:, ::-1]]) if m_count % 2 == 0 else a
+    c_red = estimate_c_reduced(a @ c_true.values, angles, geom)
+    assert_allclose(c_red.singular_ratio, singular_ratio(design),
+                    rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("ports", [[0], [0, 1]], ids=["one", "all"])
