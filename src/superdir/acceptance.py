@@ -132,16 +132,16 @@ def criterion_2():
 
 def criterion_3():
     """Quadrature Z matches the sinc oracle and is grid-converged."""
-    fine = sphere_grid(128, 256)
+    spacings = [round(float(d), 3) for d in np.arange(0.05, 0.501, 0.05)]
+    geom = _geom(8, spacings[0], "isotropic")
     worst_oracle = 0.0
     worst_conv = 0.0
-    for d in np.arange(0.05, 0.501, 0.05):
-        geom = _geom(8, round(float(d), 3), "isotropic")
-        z_quad = impedance.z_full(geom, _grid())
-        z_oracle = impedance.z_isotropic_closed(geom)
+    for d, z_quad, z_fine in zip(
+            spacings, impedance.z_full_sweep(geom, _grid(), spacings),
+            impedance.z_full_sweep(geom, sphere_grid(128, 256), spacings)):
+        z_oracle = impedance.z_isotropic_closed(_geom(8, d, "isotropic"))
         worst_oracle = max(worst_oracle,
                            float(np.max(np.abs(z_quad.values - z_oracle.values))))
-        z_fine = impedance.z_full(geom, fine)
         worst_conv = max(worst_conv,
                          float(np.max(np.abs(z_quad.values - z_fine.values))))
     err = max(worst_oracle / 1e-8, worst_conv / 1e-9)

@@ -5,8 +5,9 @@ H-plane cuts), ``estimate-c`` (coupling matrix from field dumps or
 measurements), ``ingest`` (measurement CSVs to Z and C JSON), and
 ``acceptance`` (the built-in acceptance suite).
 
-Exit codes: 0 success, 1 validation error, 2 numerical condition gate,
-3 acceptance failure.
+Exit codes: 0 success, 1 validation error (an input that needs more
+memory than there is included), 2 numerical condition gate, 3 acceptance
+failure.
 """
 
 import argparse
@@ -236,13 +237,26 @@ def build_parser():
     return parser
 
 
+def _inputs(args):
+    """The input flags given in ``args``, with their values."""
+    given = ["--%s %s" % (name, getattr(args, name))
+             for name in ("config", "es", "ec", "measurements")
+             if getattr(args, name, None)]
+    return " and ".join(given) or "the command"
+
+
 def main(argv=None):
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         return args.func(args)
     except (ValidationError, OSError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print("error: %s: the input needs more memory than there is (%s)" %
+              (_inputs(args), exc), file=sys.stderr)
         return 1
     except ConditionGateError as exc:
         print("error: %s" % (exc,), file=sys.stderr)

@@ -145,9 +145,9 @@ def arrays(config, spacings):
     orientation, cut_theta, cut_phi, _ = _cut(config)
     grid = sphere_grid(config.n_theta, config.n_phi)
     networks = impedance.port_impedance_sweep(config.geometry, spacings)
-    for d, zc in zip(spacings, networks):
+    zs = impedance.z_full_sweep(config.geometry, grid, spacings, orientation)
+    for d, z, zc in zip(spacings, zs, networks):
         geom = replace(config.geometry, spacing=float(d))
-        z = impedance.z_full(geom, grid, orientation)
         e = steering_vector(geom, config.steer, orientation)
         c_true = surrogate.coupling_truth(zc)
         cut = steering_matrix(geom, cut_theta, cut_phi, orientation)

@@ -13,7 +13,7 @@ isotropic elements get a clearly-labeled synthetic network.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -131,25 +131,37 @@ def _lag_column(weight, phase, count):
     return col
 
 
-def z_full(geom, grid, orientation="axial"):
-    """Full-sphere quadrature of the normalized impedance matrix.
+def z_full_sweep(geom, grid, spacings, orientation="axial"):
+    """Full-sphere quadrature of the normalized impedance matrix of
+    ``geom``'s elements at each of ``spacings``, as a list.
 
     z_mn = (1/4pi) integral |g|^2 exp(j k r.(r_m - r_n)) dS, scaled so
     the diagonal is 1.  ``orientation`` selects whether element
     displacements run along the pattern's polar axis or in the
     theta = pi/2 plane (the measurement configuration).  Z keeps the
     integral's real (cosine) part, which depends on m - n only, so it is
-    summed once per lag and filled in as a Toeplitz matrix.
+    summed once per lag and filled in as a Toeplitz matrix.  The
+    weighted power and the direction cosines are computed once for all
+    spacings.
     """
     if grid.kind != "full_sphere":
         raise ValueError("z_full requires a full-sphere grid")
     g_theta, g_phi = gain_arrays(geom.element, grid.theta, grid.phi)
-    power = (np.abs(g_theta) ** 2 + np.abs(g_phi) ** 2) * grid.weight
+    power = ((np.abs(g_theta) ** 2 + np.abs(g_phi) ** 2) * grid.weight /
+             (4.0 * np.pi))
     u = phase_argument(grid.theta, grid.phi, orientation)
-    col = _lag_column(power / (4.0 * np.pi), K * geom.spacing * u,
-                      geom.element_count)
-    return ImpedanceMatrix(values=_normalize(_toeplitz(col)),
-                           self_power=float(col[0])).validate()
+    matrices = []
+    for d in spacings:
+        at = replace(geom, spacing=float(d))  # ArrayGeometry's checks
+        col = _lag_column(power, K * at.spacing * u, at.element_count)
+        matrices.append(ImpedanceMatrix(values=_normalize(_toeplitz(col)),
+                                        self_power=float(col[0])).validate())
+    return matrices
+
+
+def z_full(geom, grid, orientation="axial"):
+    """``z_full_sweep`` at ``geom``'s own spacing."""
+    return z_full_sweep(geom, grid, [geom.spacing], orientation)[0]
 
 
 def z_isotropic_closed(geom):

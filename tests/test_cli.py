@@ -99,6 +99,21 @@ def test_sweep_takes_one_condition_and_one_z_solve_per_spacing(
     assert z_solves == ["impedance matrix"] * config.steps
 
 
+def test_sweep_builds_the_grid_arrays_once(tmp_path, monkeypatch):
+    # a sweep's grid and orientation do not change with the spacing
+    calls = {"gain_arrays": 0, "phase_argument": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(impedance, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(impedance, name, counted)
+    config = ExperimentConfig.from_file(_write_config(
+        tmp_path / "c.json", sweep={"d_min": 0.05, "d_max": 0.5, "steps": 50}))
+    rows = experiment.sweep_rows(config, tikhonov=1e-12)
+    assert len(rows) == 4 * 50
+    assert calls == {"gain_arrays": 1, "phase_argument": 1}
+
+
 @pytest.mark.parametrize("methods", [[], ["mrt", "mrt"]],
                          ids=["empty", "repeated"])
 def test_methods_must_name_each_method_once(tmp_path, capsys, methods):
@@ -569,6 +584,65 @@ def test_zero_coupled_fields_exit_1_naming_the_inputs(tmp_path, capsys):
         assert err.startswith("error: %s: estimated coupling matrix is "
                               "singular (condition number inf)" % (source,)), \
             err
+    assert not [path for path in tmp_path.iterdir()
+                if path.name.startswith("out")]
+
+
+NO_MEMORY = ("Unable to allocate 72.8 TiB for an array with shape "
+             "(10000000000000,) and data type float64")
+
+
+def _refuse(*args):
+    raise MemoryError(NO_MEMORY)
+
+
+@pytest.mark.parametrize("source", ["sweep", "dumps", "measurements",
+                                    "ingest"])
+def test_an_input_too_large_for_memory_exits_1_naming_it(
+        tmp_path, capsys, monkeypatch, source):
+    # 10^13 sweep steps, grid points or CSV rows ask numpy for 72.8 TiB;
+    # the fakes raise its MemoryError without asking
+    geom, _, es, ec, _ = _dump_surrogate(tmp_path)
+    config = _write_config(tmp_path / "config.json",
+                           geometry=dict(fileio.geometry_to_dict(geom),
+                                         steer_theta_deg=90.0,
+                                         steer_phi_deg=90.0),
+                           sweep={"d_min": 0.2, "d_max": 0.5,
+                                  "steps": 10 ** 13})
+    manifest = tmp_path / "es" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["grid"] = {"kind": "full_sphere", "n_theta": 4, "n_phi": 10 ** 13}
+    manifest.write_text(json.dumps(doc))
+    directory = _write_measurements(tmp_path, geom, es, ec)
+    linspace = np.linspace
+
+    def huge_linspace(start, stop, num, **kwargs):
+        if num > 10 ** 9:
+            _refuse()
+        return linspace(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", huge_linspace)
+    monkeypatch.setattr(fileio, "sphere_grid", _refuse)
+    monkeypatch.setattr(fileio, "read_measurement_csv", _refuse)
+    argv, named = {
+        "sweep": (["sweep", "--config", config],
+                  "--config %s" % (config,)),
+        "dumps": (["estimate-c", "--es", str(manifest), "--ec",
+                   str(manifest)],
+                  "--es %s and --ec %s" % (manifest, manifest)),
+        "measurements": (["estimate-c", "--config", config,
+                          "--measurements", str(directory)],
+                         "--config %s and --measurements %s" %
+                         (config, directory)),
+        "ingest": (["ingest", "--config", config, "--measurements",
+                    str(directory)],
+                   "--config %s and --measurements %s" %
+                   (config, directory))}[source]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: %s: the input needs more memory than there is (%s)\n" %
+        (named, NO_MEMORY))
     assert not [path for path in tmp_path.iterdir()
                 if path.name.startswith("out")]
 

@@ -13,8 +13,8 @@ from superdir import impedance, linalg
 from superdir.impedance import (HALFWAVE_SELF_IMPEDANCE, ImpedanceMatrix,
                                 mutual_impedance_emf, port_impedance_for,
                                 port_impedance_sweep, sici,
-                                z_from_measurements, z_full, z_hplane,
-                                z_isotropic_closed)
+                                z_from_measurements, z_full, z_full_sweep,
+                                z_hplane, z_isotropic_closed)
 from superdir.surrogate import isolated_fields
 
 
@@ -83,6 +83,54 @@ def test_z_full_matches_gemm_reference(n_theta, n_phi):
                 ref, self_term = _gram_gemm(u, weight, geom)
                 assert_allclose(z.values, ref, rtol=0, atol=1e-13)
                 assert_allclose(z.self_power, self_term, rtol=1e-14)
+
+
+def _z_full_one_spacing(geom, grid, orientation):
+    """(Z, self power) as z_full computed them before the sweep builder:
+    the gains, weights and direction cosines rebuilt for each spacing."""
+    g_theta, g_phi = gain_arrays(geom.element, grid.theta, grid.phi)
+    power = (np.abs(g_theta) ** 2 + np.abs(g_phi) ** 2) * grid.weight
+    u = phase_argument(grid.theta, grid.phi, orientation)
+    col = impedance._lag_column(power / (4.0 * np.pi), K * geom.spacing * u,
+                                geom.element_count)
+    return impedance._normalize(impedance._toeplitz(col)), float(col[0])
+
+
+@pytest.mark.parametrize("element", ["isotropic", "ideal_dipole"])
+@pytest.mark.parametrize("orientation", ["axial", "in_plane"])
+def test_z_full_sweep_is_bit_identical_to_one_spacing_at_a_time(
+        element, orientation):
+    grid = sphere_grid(32, 64)
+    for m_count in (1, 2, 8, 16):
+        geom = ArrayGeometry(m_count, 0.3, element)
+        sweep = z_full_sweep(geom, grid, SPACINGS, orientation)
+        assert len(sweep) == len(SPACINGS)
+        for d, z in zip(SPACINGS, sweep):
+            ref, self_power = _z_full_one_spacing(
+                ArrayGeometry(m_count, float(d), element), grid, orientation)
+            assert np.array_equal(z.values.view(np.int64),
+                                  ref.view(np.int64))
+            assert (np.float64(z.self_power).view(np.int64) ==
+                    np.float64(self_power).view(np.int64))
+
+
+def test_z_full_sweep_refuses_what_z_full_refuses():
+    geom = ArrayGeometry(4, 0.2, "ideal_dipole")
+    grid = sphere_grid(16, 32)
+    for call in (lambda: z_full(geom, hplane_grid(1.0)),
+                 lambda: z_full_sweep(geom, hplane_grid(1.0), [0.2])):
+        with pytest.raises(ValueError, match="requires a full-sphere grid"):
+            call()
+    for call in (lambda: z_full(geom, grid, "diagonal"),
+                 lambda: z_full_sweep(geom, grid, [0.2], "diagonal")):
+        with pytest.raises(ValueError, match="unknown orientation 'diagonal'"):
+            call()
+    for bad in (0.0, -0.1, 1e-160):
+        with pytest.raises(ValueError) as per_geometry:
+            ArrayGeometry(4, bad, "ideal_dipole")
+        with pytest.raises(ValueError) as per_sweep:
+            z_full_sweep(geom, grid, [0.2, bad])
+        assert str(per_sweep.value) == str(per_geometry.value)
 
 
 def test_z_hplane_matches_gemm_reference():
