@@ -6,7 +6,8 @@ regenerates every file next to this script (run from the root of a
 checkout).  The outputs cover the ``sweep`` and ``pattern`` commands for
 an isotropic and a dipole config, an H-plane field-dump pair, ``estimate-c``
 from that dump (full and reduced-angle), the measurement CSVs made from
-the same fields, and ``ingest`` on them.
+the same fields, ``ingest`` on them, and a small full-sphere dump pair
+that pins the axial fields.
 
 BLAS is pinned to one thread before numpy loads. With two threads the
 sweep, pattern, dump, estimate-c and ingest outputs come out the same,
@@ -28,7 +29,7 @@ import numpy as np
 
 from superdir import cli, fileio, impedance, surrogate
 from superdir.coupling import PatternMeasurement
-from superdir.geometry import ArrayGeometry, hplane_grid
+from superdir.geometry import ArrayGeometry, hplane_grid, sphere_grid
 from superdir.surrogate import TerminationSpec
 
 SWEEP = {"d_min": 0.05, "d_max": 0.5, "steps": 10}
@@ -49,6 +50,8 @@ CONFIGS = {
 # 3 deg keeps the files small and puts both reduced angles of
 # ``--angles 2`` (45 and 90 deg) on the grid.
 DUMP_STEP_DEG = 3.0
+# The full-sphere dump pair: M=4 dipoles at d = 0.1 on an 8x16 grid.
+AXIAL_GRID = {"kind": "full_sphere", "n_theta": 8, "n_phi": 16}
 
 
 def _run(argv):
@@ -111,6 +114,18 @@ def _field_files(out):
           "--out", os.path.join(ingest, "run")])
 
 
+def _axial_fields(out):
+    geom = ArrayGeometry(element_count=4, spacing=0.1, element="ideal_dipole")
+    grid = sphere_grid(AXIAL_GRID["n_theta"], AXIAL_GRID["n_phi"])
+    ec, _ = surrogate.coupled_fields(geom, grid,
+                                     impedance.port_impedance_for(geom))
+    directory = os.path.join(out, "axial")
+    for name, fields in (("es", surrogate.isolated_fields(geom, grid)),
+                         ("ec", ec)):
+        fileio.write_field_dump(os.path.join(directory, name), fields, geom,
+                                AXIAL_GRID)
+
+
 def _acceptance(out):
     report = io.StringIO()
     with contextlib.redirect_stdout(report):
@@ -125,6 +140,7 @@ def main(argv):
     out = argv[0]
     _synthesis(out)
     _field_files(out)
+    _axial_fields(out)
     _acceptance(out)
     return 0
 
