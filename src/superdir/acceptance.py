@@ -61,8 +61,7 @@ def _fields(m_count, spacing, element, grid):
     geom = _geom(m_count, spacing, element)
     es = surrogate.isolated_fields(geom, grid)
     c_true = _c_true(geom)
-    return geom, es, coupling.FieldMatrix(values=es.values @ c_true,
-                                          grid=grid), c_true
+    return geom, es, surrogate.couple(es, c_true), c_true
 
 
 @lru_cache(maxsize=None)

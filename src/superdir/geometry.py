@@ -10,6 +10,7 @@ configuration used for H-plane measurements.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,7 +61,9 @@ class AngularGrid:
     """Sampling directions with quadrature weights.
 
     ``kind`` is "full_sphere" (weights sum to 4*pi) or "h_plane"
-    (theta = pi/2 everywhere, weights sum to 2*pi).
+    (theta = pi/2 everywhere, weights sum to 2*pi).  Immutable: each
+    array is a read-only float copy of the one given, so ``rings`` is
+    computed once and never goes stale.
     """
 
     theta: np.ndarray
@@ -69,6 +72,10 @@ class AngularGrid:
     kind: str
 
     def __post_init__(self):
+        for name in ("theta", "phi", "weight"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
         if self.kind not in ("full_sphere", "h_plane"):
             raise ValueError("unknown grid kind %r" % (self.kind,))
         if not (len(self.theta) == len(self.phi) == len(self.weight)):
@@ -86,6 +93,35 @@ class AngularGrid:
     @property
     def size(self):
         return len(self.theta)
+
+    @cached_property
+    def rings(self):
+        """(first, index) of the grid's theta rings, computed once.
+
+        A ring is the set of points that share one theta, told apart by
+        bit pattern, so -0.0 and 0.0 are two rings.  ``first[r]`` is the
+        first point of ring r and ``index[p]`` the ring of point p, so
+        ``theta[first][index]`` is ``theta`` bit for bit.
+        """
+        _, first, index = np.unique(self.theta.view(np.int64),
+                                    return_index=True, return_inverse=True)
+        first.setflags(write=False)
+        index.setflags(write=False)
+        return first, index
+
+    def row_points(self, orientation):
+        """(theta, phi, gather): the points at which to evaluate a row of
+        steering phases and element gains, and each grid point's row.
+
+        The axial cosine cos(theta) and both element kinds' gains depend
+        on theta alone, so an axial grid needs one row per theta ring;
+        ``gather`` indexes them to the points.  An element whose gain
+        varies with phi would break this.  In-plane rows are the points.
+        """
+        if orientation == "axial":
+            first, index = self.rings
+            return self.theta[first], self.phi[first], index
+        return self.theta, self.phi, slice(None)
 
     def same_points(self, other):
         return (self.kind == other.kind and self.size == other.size and

@@ -114,15 +114,17 @@ def _toeplitz(col):
     return col[np.abs(index[:, None] - index[None, :])]
 
 
-def _lag_column(weight, phase, count):
+def _lag_column(weight, phase, count, gather=slice(None)):
     """c_l = sum_p weight_p cos(l phase_p) for l = 0 .. count - 1.
 
     A uniform linear array's Gram matrix depends on m - n only, so these
     ``count`` lag sums fill it as a Toeplitz matrix.  One running complex
     product over the points gives every lag, where a (P, M) phase matrix
-    and an M x M product would compute each lag M times over.
+    and an M x M product would compute each lag M times over.  When
+    ``phase`` holds one value per theta ring, ``gather`` gives each
+    point's ring: the phasors are evaluated per ring and gathered.
     """
-    step = np.exp(1j * phase)
+    step = np.exp(1j * phase)[gather]
     turn = np.ones_like(step)
     col = np.empty(count)
     for lag in range(count):
@@ -142,18 +144,22 @@ def z_full_sweep(geom, grid, spacings, orientation="axial"):
     integral's real (cosine) part, which depends on m - n only, so it is
     summed once per lag and filled in as a Toeplitz matrix.  The
     weighted power and the direction cosines are computed once for all
-    spacings.
+    spacings.  The axial cosine cos(theta) is one value per theta ring,
+    so there each spacing's phasors are evaluated per ring and gathered
+    to the points (``AngularGrid.row_points``).
     """
     if grid.kind != "full_sphere":
         raise ValueError("z_full requires a full-sphere grid")
     g_theta, g_phi = gain_arrays(geom.element, grid.theta, grid.phi)
     power = ((np.abs(g_theta) ** 2 + np.abs(g_phi) ** 2) * grid.weight /
              (4.0 * np.pi))
-    u = phase_argument(grid.theta, grid.phi, orientation)
+    theta, phi, gather = grid.row_points(orientation)
+    u = phase_argument(theta, phi, orientation)
     matrices = []
     for d in spacings:
         at = replace(geom, spacing=float(d))  # ArrayGeometry's checks
-        col = _lag_column(power, K * at.spacing * u, at.element_count)
+        col = _lag_column(power, K * at.spacing * u, at.element_count,
+                          gather)
         matrices.append(ImpedanceMatrix(values=_normalize(_toeplitz(col)),
                                         self_power=float(col[0])).validate())
     return matrices

@@ -34,11 +34,26 @@ class TerminationSpec:
 def isolated_fields(geom, grid):
     """E_s: each column is one isolated element sampled over the grid,
     in the grid kind's default orientation."""
-    e_theta = steering_matrix(geom, grid.theta, grid.phi,
-                              default_orientation(grid.kind))
-    values = np.zeros((2 * grid.size, geom.element_count), dtype=complex)
-    values[0::2] = e_theta
-    return FieldMatrix(values=values, grid=grid)
+    orientation = default_orientation(grid.kind)
+    # one row per theta ring on an axial grid: the element gains must
+    # depend on theta alone (see AngularGrid.row_points)
+    theta, phi, gather = grid.row_points(orientation)
+    rows = np.zeros((len(theta), 2, geom.element_count), dtype=complex)
+    rows[:, 0] = steering_matrix(geom, theta, phi, orientation)
+    return FieldMatrix(values=rows[gather].reshape(2 * grid.size, -1),
+                       grid=grid)
+
+
+def couple(es, c):
+    """E_c = E_s C for isolated fields ``es`` and the (M, M) array ``c``.
+
+    ``isolated_fields`` leaves every E_phi row zero, so only the E_theta
+    rows are multiplied and E_c's E_phi rows stay +0, where the whole
+    product would leave BLAS's -0 of 0 * C in them.
+    """
+    values = np.zeros_like(es.values)
+    np.matmul(es.theta_rows(), c, out=values[0::2])
+    return FieldMatrix(values=values, grid=es.grid)
 
 
 def coupling_truth(zc, term=TerminationSpec()):
@@ -64,5 +79,4 @@ def coupled_fields(geom, grid, zc, term=TerminationSpec()):
     if len(zc) != geom.element_count:
         raise ValueError("port network size does not match the geometry")
     c_true = coupling_truth(zc, term)
-    es = isolated_fields(geom, grid)
-    return FieldMatrix(values=es.values @ c_true.values, grid=grid), c_true
+    return couple(isolated_fields(geom, grid), c_true.values), c_true

@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import roots_legendre
 
-from superdir.geometry import (AngularGrid, ArrayGeometry, Direction,
-                               default_orientation, gain_arrays,
+from superdir.geometry import (ELEMENT_KINDS, AngularGrid, ArrayGeometry,
+                               Direction, default_orientation, gain_arrays,
                                gauss_legendre, hplane_degrees, hplane_grid,
                                phase_argument, sphere_grid, steering_matrix,
                                steering_vector)
@@ -41,6 +41,18 @@ def test_gain_arrays_dipole():
     assert_allclose(g_theta, np.sin(theta), atol=1e-15)
     assert_allclose(g_theta[[0, 3]], 0.0, atol=1e-15)
     assert_allclose(g_phi, 0.0)
+
+
+@pytest.mark.parametrize("element", ELEMENT_KINDS)
+def test_element_gains_depend_on_theta_alone(element):
+    # surrogate.isolated_fields evaluates one row per theta ring of an
+    # axial grid and gathers it to the ring's points; an element kind
+    # whose gain varies with phi must fail here before it takes that path
+    theta = np.repeat(np.linspace(0.0, np.pi, 7), 9)
+    phi = np.tile(np.linspace(-np.pi, np.pi, 9), 7)
+    reference = gain_arrays(element, theta, np.zeros_like(phi))
+    for got, want in zip(gain_arrays(element, theta, phi), reference):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_gain_arrays_isotropic():
@@ -155,3 +167,41 @@ def test_same_points():
     assert a.same_points(b)
     assert not a.same_points(c)
     assert not a.same_points(sphere_grid(8, 16))
+
+
+def test_grid_arrays_are_read_only_copies():
+    theta = np.full(4, np.pi / 2)
+    phi = np.deg2rad([-90.0, 0.0, 90.0, 180.0])
+    weight = np.full(4, np.pi / 2)
+    grid = AngularGrid(theta=theta, phi=phi, weight=weight, kind="h_plane")
+    theta[0] = phi[0] = weight[0] = 0.0
+    assert grid.theta[0] == np.pi / 2
+    assert grid.phi[0] == -np.pi / 2 and grid.weight[0] == np.pi / 2
+    for values in (grid.theta, grid.phi, grid.weight):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+
+
+def test_rings_tell_theta_apart_by_bit_pattern():
+    # out-of-order repeats, with -0.0 and 0.0 as two rings
+    theta = np.array([0.5, 0.0, -0.0, 0.5, 1.0, 0.0, -0.0, 1.0, 0.5])
+    grid = AngularGrid(theta=theta, phi=np.zeros(9),
+                       weight=np.full(9, 4.0 * np.pi / 9), kind="full_sphere")
+    first, index = grid.rings
+    assert grid.rings is grid.rings  # computed once
+    assert sorted(first.tolist()) == [0, 1, 2, 4]
+    bits = grid.theta.view(np.int64)
+    assert np.array_equal(bits[first][index], bits)
+    assert len(set(bits[first].tolist())) == 4
+    assert np.signbit(grid.theta[first]).sum() == 1
+    for array in (first, index):
+        assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("n_theta,n_phi", [(7, 3), (64, 128)])
+def test_sphere_grid_has_one_ring_per_gauss_node(n_theta, n_phi):
+    grid = sphere_grid(n_theta, n_phi)
+    first, index = grid.rings
+    assert len(first) == n_theta
+    assert np.array_equal(np.bincount(index), np.full(n_theta, n_phi))
+    assert np.array_equal(grid.theta[first][index], grid.theta)

@@ -114,6 +114,55 @@ def test_z_full_sweep_is_bit_identical_to_one_spacing_at_a_time(
                     np.float64(self_power).view(np.int64))
 
 
+def _axial_z_per_point(geom, grid, spacing):
+    """(Z, self power) with each point's phasor exp(j k d cos(theta))
+    computed on its own, as the lag sums had it before the theta rings."""
+    g_theta, g_phi = gain_arrays(geom.element, grid.theta, grid.phi)
+    power = ((np.abs(g_theta) ** 2 + np.abs(g_phi) ** 2) * grid.weight /
+             (4.0 * np.pi))
+    step = np.exp(1j * (K * spacing * np.cos(grid.theta)))
+    turn = np.ones_like(step)
+    col = np.empty(geom.element_count)
+    for lag in range(geom.element_count):
+        col[lag] = power @ turn.real
+        turn *= step
+    return impedance._normalize(impedance._toeplitz(col)), float(col[0])
+
+
+@pytest.mark.parametrize("n_theta,n_phi", [(64, 128), (128, 256), (7, 3)])
+@pytest.mark.parametrize("element", ["isotropic", "ideal_dipole"])
+def test_axial_z_is_bit_identical_to_per_point_phasors(n_theta, n_phi,
+                                                       element):
+    grid = sphere_grid(n_theta, n_phi)
+    spacings = (0.05, 0.1, 0.3, 0.5)
+    for m_count in (1, 2, 8, 16):
+        geom = ArrayGeometry(m_count, 0.3, element)
+        for d, z in zip(spacings, z_full_sweep(geom, grid, spacings)):
+            ref, self_power = _axial_z_per_point(geom, grid, d)
+            assert np.array_equal(z.values.view(np.int64),
+                                  ref.view(np.int64))
+            assert (np.float64(z.self_power).view(np.int64) ==
+                    np.float64(self_power).view(np.int64))
+
+
+@pytest.mark.parametrize("orientation,rows", [("axial", 64),
+                                              ("in_plane", 8192)])
+def test_lag_sum_phasors_are_evaluated_per_theta_ring(monkeypatch,
+                                                      orientation, rows):
+    sizes = []
+    original = np.exp
+
+    def spy(x, *args, **kwargs):
+        if np.iscomplexobj(x):
+            sizes.append(np.size(x))
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spy)
+    geom = ArrayGeometry(4, 0.1, "ideal_dipole")
+    z_full_sweep(geom, sphere_grid(64, 128), [0.1, 0.2, 0.3], orientation)
+    assert sizes == [rows] * 3
+
+
 def test_z_full_sweep_refuses_what_z_full_refuses():
     geom = ArrayGeometry(4, 0.2, "ideal_dipole")
     grid = sphere_grid(16, 32)

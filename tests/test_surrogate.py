@@ -1,14 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from superdir.geometry import (ArrayGeometry, Direction, hplane_grid,
-                               sphere_grid, steering_vector)
+from superdir import fileio, surrogate
+from superdir.geometry import (K, ArrayGeometry, Direction, gain_arrays,
+                               hplane_grid, sphere_grid, steering_vector)
 from superdir.impedance import HALFWAVE_SELF_IMPEDANCE, port_impedance_for
 from superdir.coupling import FieldMatrix
 from superdir.linalg import singular_ratio
-from superdir.surrogate import (TerminationSpec, coupled_fields,
+from superdir.surrogate import (TerminationSpec, couple, coupled_fields,
                                 coupling_truth, isolated_fields)
+
+NEGATIVE_ZERO_CELL = re.compile(r"(^|,)-0(,|$)", re.MULTILINE)
 
 
 def test_termination_load():
@@ -112,3 +117,77 @@ def test_field_matrix_validation():
     grid = hplane_grid(90.0)
     with pytest.raises(ValueError):
         FieldMatrix(values=np.zeros((5, 2), dtype=complex), grid=grid)
+
+
+def _isolated_fields_per_point(geom, grid):
+    """E_s with every point's axial row computed on its own."""
+    g_theta, _ = gain_arrays(geom.element, grid.theta, grid.phi)
+    u = np.cos(grid.theta)
+    m = np.arange(geom.element_count)
+    values = np.zeros((2 * grid.size, geom.element_count), dtype=complex)
+    values[0::2] = g_theta[:, None] * np.exp(
+        1j * K * geom.spacing * u[:, None] * m[None, :])
+    return values
+
+
+@pytest.mark.parametrize("n_theta,n_phi", [(64, 128), (128, 256), (7, 3)])
+@pytest.mark.parametrize("element", ["isotropic", "ideal_dipole"])
+def test_axial_fields_are_bit_identical_to_per_point_rows(n_theta, n_phi,
+                                                          element):
+    grid = sphere_grid(n_theta, n_phi)
+    for m_count in (1, 2, 8, 16):
+        for d in (0.05, 0.3):
+            geom = ArrayGeometry(m_count, d, element)
+            got = isolated_fields(geom, grid).values
+            want = _isolated_fields_per_point(geom, grid)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_steering_rows_are_built_once_per_theta_ring(monkeypatch):
+    rows = []
+    original = surrogate.steering_matrix
+
+    def spy(geom, theta, phi, orientation):
+        rows.append((orientation, len(theta)))
+        return original(geom, theta, phi, orientation)
+
+    monkeypatch.setattr(surrogate, "steering_matrix", spy)
+    geom = ArrayGeometry(4, 0.1, "ideal_dipole")
+    isolated_fields(geom, sphere_grid(64, 128))
+    assert rows == [("axial", 64)]
+    rows.clear()
+    # the in-plane cut keeps one row per point
+    isolated_fields(geom, hplane_grid(1.0))
+    assert rows == [("in_plane", 360)]
+
+
+def test_couple_keeps_the_theta_rows_of_the_product():
+    geom = ArrayGeometry(8, 0.1, "ideal_dipole")
+    grid = sphere_grid(16, 32)
+    es = isolated_fields(geom, grid)
+    c = coupling_truth(port_impedance_for(geom)).values
+    ec = couple(es, c)
+    product = es.values @ c
+    assert np.array_equal(ec.theta_rows().view(np.int64),
+                          product[0::2].view(np.int64))
+    assert not np.signbit(ec.phi_rows().view(float)).any()
+    assert ec.grid is grid
+
+
+@pytest.mark.parametrize("grid,params", [
+    (hplane_grid(3.0), {"kind": "h_plane", "step_deg": 3.0}),
+    (sphere_grid(8, 16), {"kind": "full_sphere", "n_theta": 8, "n_phi": 16})],
+    ids=["h_plane", "full_sphere"])
+def test_no_field_dump_prints_negative_zero(tmp_path, grid, params):
+    # E_phi rows are exact zeros; 0 * C gave -0 in them for M = 2 and 3
+    for m_count in range(1, 9):
+        geom = ArrayGeometry(m_count, 0.3, "ideal_dipole")
+        ec, _ = coupled_fields(geom, grid, port_impedance_for(geom))
+        for name, fields in (("es", isolated_fields(geom, grid)),
+                             ("ec", ec)):
+            directory = tmp_path / ("%s_%d" % (name, m_count))
+            fileio.write_field_dump(str(directory), fields, geom, params)
+            for port in range(1, m_count + 1):
+                text = (directory / ("port_%d.csv" % port)).read_text()
+                assert not NEGATIVE_ZERO_CELL.search(text), (name, m_count,
+                                                              port)
