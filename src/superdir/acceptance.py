@@ -370,17 +370,13 @@ def criterion_13():
     phi_deg = np.rad2deg(grid.phi)
 
     def to_measurements(fields):
-        rows = fields.theta_rows()
-        out = []
-        for m in range(fields.element_count):
-            out.append(coupling.PatternMeasurement(
-                phi_deg=phi_deg,
-                amplitude=np.abs(rows[:, m]) ** 2,
-                phase_deg=np.rad2deg(np.angle(rows[:, m]))))
-        return out
+        return [coupling.PatternMeasurement(
+            phi_deg=phi_deg, amplitude=np.abs(column) ** 2,
+            phase_deg=np.rad2deg(np.angle(column)))
+            for column in fields.values.T]
 
     es_meas = coupling.fields_from_measurements(to_measurements(es))
-    z_meas = impedance.z_from_measurements(es_meas.theta_rows())
+    z_meas = impedance.z_from_measurements(es_meas.values)
     z_direct = impedance.z_hplane(geom, grid)
     gap_z = float(np.max(np.abs(z_meas.values - z_direct.values)))
     ec_meas = coupling.fields_from_measurements(to_measurements(ec))

@@ -129,22 +129,21 @@ def power_decomposition(z, e, r_loss):
 def delta_f_from_patterns(f_theory, f_actual):
     """Mean squared pattern deviation in dB after unit-peak scaling.
 
-    Accepts per-point complex fields of shape (L,) or (L, 2) (two
-    polarizations).  Both patterns are normalized to unit peak
-    magnitude before differencing; identical patterns hit the floor.
+    Takes two per-point complex fields of one shape (L,).  Both patterns
+    are normalized to unit peak magnitude before differencing; identical
+    patterns hit the floor.
     """
-    f_theory = np.atleast_2d(np.asarray(f_theory, dtype=complex).T).T
-    f_actual = np.atleast_2d(np.asarray(f_actual, dtype=complex).T).T
-    if f_theory.shape != f_actual.shape or f_theory.shape[0] < 1:
-        raise ValueError("patterns must share a non-empty shape")
-    mag_th = np.sqrt(np.sum(np.abs(f_theory) ** 2, axis=1))
-    mag_ac = np.sqrt(np.sum(np.abs(f_actual) ** 2, axis=1))
-    peak_th = mag_th.max()
-    peak_ac = mag_ac.max()
+    f_theory = np.asarray(f_theory, dtype=complex)
+    f_actual = np.asarray(f_actual, dtype=complex)
+    if f_theory.ndim != 1 or f_theory.shape != f_actual.shape or \
+            not f_theory.size:
+        raise ValueError("patterns must share one non-empty (L,) shape")
+    peak_th = np.sqrt(np.max(np.abs(f_theory) ** 2))
+    peak_ac = np.sqrt(np.max(np.abs(f_actual) ** 2))
     if peak_th == 0.0 or peak_ac == 0.0:
         raise ValueError("cannot normalize an all-zero pattern")
     diff = f_theory / peak_th - f_actual / peak_ac
-    mean_sq = float(np.mean(np.sum(np.abs(diff) ** 2, axis=1)))
+    mean_sq = float(np.mean(np.abs(diff) ** 2))
     if mean_sq <= 10.0 ** (DELTA_F_FLOOR_DB / 10.0):
         return DELTA_F_FLOOR_DB
     return float(10.0 * np.log10(mean_sq))

@@ -71,7 +71,7 @@ def _reduced_from_fields(ec, geom, n_angles):
         raise ValueError(
             "grid too coarse to pick %d distinct reduced angles" % (n_angles,))
     angles = np.deg2rad(grid_deg[idx])
-    samples = ec.theta_rows()[idx, :]
+    samples = ec.values[idx, :]
     return coupling.estimate_c_reduced(samples, angles, geom)
 
 
@@ -147,7 +147,7 @@ def cmd_ingest(args):
     geom = experiment.ExperimentConfig.from_file(args.config).geometry
     es, ec = _measured_fields(args, geom)
     try:
-        z = impedance.z_from_measurements(es.theta_rows())
+        z = impedance.z_from_measurements(es.values)
         c = coupling.estimate_c_full(es, ec)
     except ValueError as exc:
         raise ValidationError("%s: %s" % (args.measurements, exc)) from exc

@@ -21,29 +21,29 @@ RANK_GATE = 1e-6
 CONDITION_FLAG = 1e10
 
 
-@dataclass
+@dataclass(eq=False)
 class FieldMatrix:
-    """Sampled far fields, rows interleaved (E_theta, E_phi) per point."""
+    """Sampled far fields: the E_theta samples, one row per grid point
+    and one column per element.  Every element kind is z-directed and
+    radiates no E_phi."""
 
     values: np.ndarray
     grid: object
 
     def __post_init__(self):
-        if self.values.shape[0] != 2 * self.grid.size:
-            raise ValueError("field matrix needs 2 rows per grid point")
+        if self.values.shape[0] != self.grid.size:
+            raise ValueError("field matrix needs one row per grid point")
 
     @property
     def element_count(self):
         return self.values.shape[1]
 
     def theta_rows(self):
-        return self.values[0::2]
-
-    def phi_rows(self):
-        return self.values[1::2]
+        """``values``, under the name ``perfbench/workloads.py`` calls."""
+        return self.values
 
 
-@dataclass
+@dataclass(eq=False)
 class CouplingMatrix:
     """Complex field coupling matrix with estimation metadata, among it
     the singular ratio of the matrix an estimate was solved against."""
@@ -59,7 +59,7 @@ class CouplingMatrix:
         return bool(self.condition > CONDITION_FLAG)
 
 
-@dataclass
+@dataclass(eq=False)
 class PatternMeasurement:
     """One antenna's H-plane pattern: amplitude and phase over phi."""
 
@@ -80,26 +80,17 @@ class PatternMeasurement:
 
 def estimate_c_full(es, ec):
     """Least-squares estimate of C from full sampled fields, by an
-    orthogonal factorization with singular-value cutoff.
-
-    When the E_phi rows of both fields are all zero, as they are for
-    every element kind and for measured H-plane fields, they add nothing
-    to the solve or its residual, and only the E_theta rows are solved.
-    """
+    orthogonal factorization with singular-value cutoff."""
     if not es.grid.same_points(ec.grid):
         raise ValueError("isolated and coupled fields use different grids")
     if es.values.shape != ec.values.shape:
         raise ValueError("field matrices must have matching shapes")
-    if es.phi_rows().any() or ec.phi_rows().any():
-        design, samples = es.values, ec.values
-    else:
-        design, samples = es.theta_rows(), ec.theta_rows()
-    c, ratio = lstsq_cutoff(design, samples)
+    c, ratio = lstsq_cutoff(es.values, ec.values)
     if ratio <= RANK_GATE:
         raise ValueError(
             "isolated field matrix is rank deficient "
             "(singular value ratio %.3e)" % (ratio,))
-    return _estimate(c, design, samples, ratio)
+    return _estimate(c, es.values, ec.values, ratio)
 
 
 def _estimate(c, design, samples, ratio):
@@ -210,13 +201,13 @@ def fields_from_measurements(measurements, amplitude_kind="power"):
                        phi=np.deg2rad(phi_deg),
                        weight=np.full(n, 2.0 * np.pi / n),
                        kind="h_plane")
-    values = np.zeros((2 * n, len(measurements)), dtype=complex)
+    values = np.empty((n, len(measurements)), dtype=complex)
     for m, meas in enumerate(measurements):
         if amplitude_kind == "power":
             magnitude = np.sqrt(meas.amplitude)
         else:
             magnitude = meas.amplitude
-        values[0::2, m] = magnitude * np.exp(1j * np.deg2rad(meas.phase_deg))
+        values[:, m] = magnitude * np.exp(1j * np.deg2rad(meas.phase_deg))
     return FieldMatrix(values=values, grid=grid)
 
 

@@ -213,24 +213,25 @@ def write_measurement_csv(path, measurement):
 
 
 def write_field_dump(directory, fields, geom, grid_params):
-    """One CSV per excited port plus a manifest JSON describing the run."""
+    """One CSV per excited port plus a manifest JSON describing the run.
+
+    The e_phi columns are written as 0: a field matrix holds E_theta only.
+    """
     os.makedirs(directory, exist_ok=True)
     theta_deg = np.rad2deg(fields.grid.theta)
     phi_deg = np.rad2deg(fields.grid.phi)
-    e_theta = fields.theta_rows()
-    e_phi = fields.phi_rows()
-    # Every port shares the angle cells: format them once, leaving a
-    # %.17g slot per field cell.
+    # Every port shares the angle and e_phi cells: format them once,
+    # leaving a %.17g slot per E_theta cell.
     angles = np.column_stack([theta_deg, phi_deg]).ravel().tolist()
-    rows = ("%.17g,%.17g" + ",%%.17g" * 4 + "\r\n") * len(theta_deg) % \
+    rows = ("%.17g,%.17g,%%.17g,%%.17g,0,0\r\n" * len(theta_deg)) % \
         tuple(angles)
     files = []
     for m in range(fields.element_count):
         name = "port_%d.csv" % (m + 1,)
         files.append(name)
         _write_table(os.path.join(directory, name), DUMP_COLUMNS,
-                     [e_theta[:, m].real, e_theta[:, m].imag,
-                      e_phi[:, m].real, e_phi[:, m].imag], rows)
+                     [fields.values[:, m].real, fields.values[:, m].imag],
+                     rows)
     manifest = {"geometry": geometry_to_dict(geom),
                 "grid": grid_params,
                 "files": files}
@@ -257,7 +258,8 @@ def _grid_from_params(params, context):
 
 
 def read_field_dump(manifest_path):
-    """Rebuild a FieldMatrix and geometry from a dump directory."""
+    """Rebuild a FieldMatrix and geometry from a dump directory.  A
+    nonzero e_phi cell raises ValidationError naming ``path:line``."""
     directory = os.path.dirname(os.path.abspath(manifest_path))
     manifest = read_json(manifest_path)
     files = manifest.get("files", []) if isinstance(manifest, dict) else None
@@ -274,7 +276,7 @@ def read_field_dump(manifest_path):
             (manifest_path, geom.element_count, len(files)))
     theta_deg = np.rad2deg(grid.theta)
     phi_deg = np.rad2deg(grid.phi)
-    values = np.empty((2 * grid.size, geom.element_count), dtype=complex)
+    values = np.empty((grid.size, geom.element_count), dtype=complex)
     for m, name in enumerate(files):
         path = os.path.join(directory, name)
         table, linenos = _read_table(path, DUMP_COLUMNS)
@@ -288,8 +290,12 @@ def read_field_dump(manifest_path):
             raise ValidationError(
                 "%s:%d: angles disagree with the manifest grid" %
                 (path, linenos[off.argmax()]))
-        values[0::2, m] = table[:, 2] + 1j * table[:, 3]
-        values[1::2, m] = table[:, 4] + 1j * table[:, 5]
+        e_phi = (table[:, 4] != 0.0) | (table[:, 5] != 0.0)
+        if e_phi.any():
+            raise ValidationError(
+                "%s:%d: e_phi must be 0: every element kind radiates "
+                "E_theta only" % (path, linenos[e_phi.argmax()]))
+        values[:, m] = table[:, 2] + 1j * table[:, 3]
     return FieldMatrix(values=values, grid=grid), geom
 
 

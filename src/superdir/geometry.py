@@ -56,14 +56,15 @@ class Direction:
             raise ValueError("phi must lie in (-pi, pi]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AngularGrid:
     """Sampling directions with quadrature weights.
 
     ``kind`` is "full_sphere" (weights sum to 4*pi) or "h_plane"
     (theta = pi/2 everywhere, weights sum to 2*pi).  Immutable: each
     array is a read-only float copy of the one given, so ``rings`` is
-    computed once and never goes stale.
+    computed once and never goes stale.  ``==`` is identity;
+    ``same_points`` compares two grids' points.
     """
 
     theta: np.ndarray
@@ -130,19 +131,17 @@ class AngularGrid:
 
 
 def gain_arrays(element, theta, phi):
-    """Per-polarization element gain over arrays of angles.
+    """Element gain g_theta over arrays of angles.
 
-    Returns (g_theta, g_phi).  Ideal dipoles radiate sin(theta) in the
-    theta polarization only; isotropic elements radiate 1.
+    Every element kind is z-directed and radiates E_theta only: ideal
+    dipoles sin(theta), isotropic elements 1.
     """
     theta = np.asarray(theta, dtype=float)
     if element == "isotropic":
-        g_theta = np.ones_like(theta)
-    elif element == "ideal_dipole":
-        g_theta = np.sin(theta)
-    else:
-        raise ValueError("unknown element kind %r" % (element,))
-    return g_theta, np.zeros_like(g_theta)
+        return np.ones_like(theta)
+    if element == "ideal_dipole":
+        return np.sin(theta)
+    raise ValueError("unknown element kind %r" % (element,))
 
 
 def phase_argument(theta, phi, orientation):
@@ -162,7 +161,7 @@ def default_orientation(grid_kind):
 def steering_vector(geom, direction, orientation="axial"):
     """Steering vector e with e[m] = g(theta, phi) * exp(j*k*(m-1)*d*u)."""
     u = phase_argument(direction.theta, direction.phi, orientation)
-    g_theta, _ = gain_arrays(geom.element, direction.theta, direction.phi)
+    g_theta = gain_arrays(geom.element, direction.theta, direction.phi)
     m = np.arange(geom.element_count)
     return g_theta * np.exp(1j * K * geom.spacing * m * u)
 
@@ -172,7 +171,7 @@ def steering_matrix(geom, theta, phi, orientation):
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     u = phase_argument(theta, phi, orientation)
-    g_theta, _ = gain_arrays(geom.element, theta, phi)
+    g_theta = gain_arrays(geom.element, theta, phi)
     m = np.arange(geom.element_count)
     return g_theta[:, None] * np.exp(1j * K * geom.spacing * u[:, None] * m[None, :])
 

@@ -38,7 +38,7 @@ _SICI_SERIES = [complex((-1) ** (k + 1) / ((2 * k + 2) *
                 for k in range(15, -1, -1)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImpedanceMatrix:
     """Real normalized impedance coupling matrix with unit diagonal.
 
@@ -49,8 +49,7 @@ class ImpedanceMatrix:
     values: np.ndarray
     self_power: float = 1.0
     # The solves made so far, keyed on (rhs, tikhonov).
-    _solves: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    _solves: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         values = np.array(self.values)
@@ -150,9 +149,8 @@ def z_full_sweep(geom, grid, spacings, orientation="axial"):
     """
     if grid.kind != "full_sphere":
         raise ValueError("z_full requires a full-sphere grid")
-    g_theta, g_phi = gain_arrays(geom.element, grid.theta, grid.phi)
-    power = ((np.abs(g_theta) ** 2 + np.abs(g_phi) ** 2) * grid.weight /
-             (4.0 * np.pi))
+    g_theta = gain_arrays(geom.element, grid.theta, grid.phi)
+    power = np.abs(g_theta) ** 2 * grid.weight / (4.0 * np.pi)
     theta, phi, gather = grid.row_points(orientation)
     u = phase_argument(theta, phi, orientation)
     matrices = []
@@ -200,7 +198,7 @@ def z_from_measurements(samples):
 
     ``samples`` is (P, M): each column one isolated element's complex
     field over a uniform phi grid, as
-    ``coupling.fields_from_measurements(...).theta_rows()`` gives it.
+    ``coupling.fields_from_measurements(...).values`` gives it.
     z_ij = Re sum_phi conj(E_i) E_j / sqrt(p_i p_j), p_i the element's
     own power sum_phi |E_i|^2: the normalized correlation, so an element's
     gain leaves its row unchanged (the imaginary part cancels on

@@ -38,22 +38,14 @@ def isolated_fields(geom, grid):
     # one row per theta ring on an axial grid: the element gains must
     # depend on theta alone (see AngularGrid.row_points)
     theta, phi, gather = grid.row_points(orientation)
-    rows = np.zeros((len(theta), 2, geom.element_count), dtype=complex)
-    rows[:, 0] = steering_matrix(geom, theta, phi, orientation)
-    return FieldMatrix(values=rows[gather].reshape(2 * grid.size, -1),
-                       grid=grid)
+    return FieldMatrix(
+        values=steering_matrix(geom, theta, phi, orientation)[gather],
+        grid=grid)
 
 
 def couple(es, c):
-    """E_c = E_s C for isolated fields ``es`` and the (M, M) array ``c``.
-
-    ``isolated_fields`` leaves every E_phi row zero, so only the E_theta
-    rows are multiplied and E_c's E_phi rows stay +0, where the whole
-    product would leave BLAS's -0 of 0 * C in them.
-    """
-    values = np.zeros_like(es.values)
-    np.matmul(es.theta_rows(), c, out=values[0::2])
-    return FieldMatrix(values=values, grid=es.grid)
+    """E_c = E_s C for isolated fields ``es`` and the (M, M) array ``c``."""
+    return FieldMatrix(values=es.values @ c, grid=es.grid)
 
 
 def coupling_truth(zc, term=TerminationSpec()):

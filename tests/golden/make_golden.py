@@ -76,7 +76,7 @@ def _measurements(directory, es, ec):
     os.makedirs(directory, exist_ok=True)
     phi_deg = np.rad2deg(es.grid.phi)
     for prefix, fields in (("isolated", es), ("coupled", ec)):
-        rows = fields.theta_rows()
+        rows = fields.values
         for m in range(fields.element_count):
             measurement = PatternMeasurement(
                 phi_deg=phi_deg, amplitude=np.abs(rows[:, m]) ** 2,

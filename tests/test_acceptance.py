@@ -109,6 +109,20 @@ def test_tamper_forces_a_failure():
         assert "tampered" in results[number - 1].detail
 
 
+def test_tamper_changes_only_its_own_criterion():
+    # --tamper N must fail criterion N, mark it, and leave every other
+    # line of the report as the untampered run in this process has it
+    report = [(r.number, r.name, r.passed, r.detail)
+              for r in acceptance.run_all()]
+    for number in range(1, 15):
+        want = [(n, name, False, detail + " [tampered tolerance]")
+                if n == number else (n, name, passed, detail)
+                for n, name, passed, detail in report]
+        got = [(r.number, r.name, r.passed, r.detail)
+               for r in acceptance.run_all(tamper=number)]
+        assert got == want, number
+
+
 def test_criterion_14_catches_a_sweep_that_changes(monkeypatch):
     # the second run moves one cell by one ulp, which the 17-digit CSV
     # keeps

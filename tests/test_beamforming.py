@@ -213,15 +213,15 @@ def test_delta_f_doubling_law():
     assert_allclose(df2 - df1, 20.0 * np.log10(2.0), atol=1e-9)
 
 
-def test_delta_f_accepts_polarization_pairs():
-    rng = np.random.default_rng(3)
-    f_th = rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2))
-    f_act = f_th + 0.01 * (rng.standard_normal((40, 2)) +
-                           1j * rng.standard_normal((40, 2)))
-    flat = delta_f_from_patterns(f_th.ravel().reshape(-1, 2),
-                                 f_act.ravel().reshape(-1, 2))
-    assert np.isfinite(flat)
-    assert flat < 0.0
+@pytest.mark.parametrize("shape_th,shape_act", [
+    ((40, 2), (40, 2)), ((40, 1), (40, 1)), ((), ()), ((0,), (0,)),
+    ((40,), (39,)), ((40,), (40, 1))],
+    ids=["pairs", "column", "scalar", "empty", "lengths", "mixed"])
+def test_delta_f_refuses_any_shape_but_one_dimension(shape_th, shape_act):
+    # one polarization: a pattern is an (L,) array of E_theta samples
+    with pytest.raises(ValueError, match="one non-empty"):
+        delta_f_from_patterns(np.ones(shape_th, dtype=complex),
+                              np.ones(shape_act, dtype=complex))
 
 
 def test_pattern_metrics_broadside_uniform():

@@ -351,6 +351,28 @@ def test_estimate_c_from_dumps(tmp_path):
     assert_allclose(c.values, c_true.values, atol=1e-9)
 
 
+def test_estimate_c_refuses_a_dump_with_e_phi(tmp_path, capsys):
+    # a nonzero e_phi cell exits 1 naming its file and line, and writes
+    # no C
+    _dump_surrogate(tmp_path)
+    path = tmp_path / "ec" / "port_3.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[41].split(",")
+    cells[5] = "1e-9"
+    lines[41] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "c.json"
+    capsys.readouterr()
+    assert cli.main(["estimate-c",
+                     "--es", str(tmp_path / "es" / "manifest.json"),
+                     "--ec", str(tmp_path / "ec" / "manifest.json"),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s:42: e_phi must be 0" % (path,)), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_estimate_c_reduced_angles(tmp_path):
     _, _, _, _, c_true = _dump_surrogate(tmp_path)
     out = tmp_path / "c.json"
@@ -389,7 +411,7 @@ def _write_measurements(tmp_path, geom, es, ec):
     directory.mkdir()
     phi_deg = np.rad2deg(es.grid.phi)
     for tag, fields in (("isolated", es), ("coupled", ec)):
-        rows = fields.theta_rows()
+        rows = fields.values
         for m in range(geom.element_count):
             meas = PatternMeasurement(
                 phi_deg=phi_deg,
@@ -492,9 +514,9 @@ def test_ingest_weights_each_element_by_its_own_amplitude(tmp_path, gain):
     # 1, and dividing by element 1's power alone gain 2 sqrt(2) / pi
     geom = ArrayGeometry(element_count=2, spacing=0.3)
     grid = hplane_grid(1.0)
-    values = np.zeros((2 * grid.size, 2), dtype=complex)
-    values[0::2, 0] = 1.0
-    values[0::2, 1] = gain * np.sqrt(2.0) * np.abs(np.cos(grid.phi))
+    values = np.zeros((grid.size, 2), dtype=complex)
+    values[:, 0] = 1.0
+    values[:, 1] = gain * np.sqrt(2.0) * np.abs(np.cos(grid.phi))
     fields = coupling.FieldMatrix(values=values, grid=grid)
     directory = _write_measurements(tmp_path, geom, fields, fields)
     config = _write_config(tmp_path / "config.json",

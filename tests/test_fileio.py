@@ -222,6 +222,31 @@ def test_field_dump_rejects_non_finite(tmp_path, cell):
         fileio.read_field_dump(root / "manifest.json")
 
 
+def _set_cell(lines, index, column, cell):
+    cells = lines[index].split(",")
+    cells[column] = cell
+    lines[index] = ",".join(cells)
+
+
+@pytest.mark.parametrize("column,cell", [(4, "1e-300"), (5, "-2.5")],
+                         ids=["e_phi_re", "e_phi_im"])
+def test_field_dump_refuses_a_nonzero_e_phi_cell(tmp_path, column, cell):
+    # a field matrix holds E_theta only: e_phi is written as 0 and must
+    # read back as 0, where -0 counts as 0
+    root, _ = _dump_port_lines(tmp_path)
+    lines = (root / "port_2.csv").read_text().splitlines()
+    _set_cell(lines, 3, column, "-0")
+    _set_cell(lines, 7, column, cell)
+    _rewrite(root / "port_2.csv", lines)
+    with pytest.raises(ValidationError,
+                       match=r"port_2.csv:8: e_phi must be 0"):
+        fileio.read_field_dump(root / "manifest.json")
+    _set_cell(lines, 7, column, "0")
+    _rewrite(root / "port_2.csv", lines)
+    fields, _ = fileio.read_field_dump(root / "manifest.json")
+    assert fields.values.shape == (fields.grid.size, 2)
+
+
 def test_field_dump_row_column_count(tmp_path):
     root, lines = _dump_port_lines(tmp_path)
     lines[6] = lines[6].rsplit(",", 1)[0]
@@ -473,11 +498,12 @@ def test_table_cells_are_ascii_decimals(tmp_path, cell):
 @pytest.mark.parametrize("seed", range(3))
 def test_write_field_dump_matches_per_port_tables(tmp_path, grid, seed):
     # one row template per dump gives the bytes of formatting every
-    # column of every port, for any double, signed zeros and subnormals
+    # column of every port, for any double, signed zeros and subnormals,
+    # with the e_phi columns written as 0
     rng = np.random.default_rng(seed)
     m_count = 3
-    parts = rng.standard_normal((2 * grid.size, 2 * m_count)) * \
-        10.0 ** rng.integers(-300, 300, (2 * grid.size, 2 * m_count))
+    parts = rng.standard_normal((grid.size, 2 * m_count)) * \
+        10.0 ** rng.integers(-300, 300, (grid.size, 2 * m_count))
     specials = [-0.0, 5e-324, 1e-320, 1.7976931348623157e308,
                 -1.7976931348623157e308]
     parts.flat[rng.choice(parts.size, len(specials), replace=False)] = \
@@ -487,12 +513,12 @@ def test_write_field_dump_matches_per_port_tables(tmp_path, grid, seed):
     geom = ArrayGeometry(element_count=m_count, spacing=0.3)
     fileio.write_field_dump(tmp_path / "dump", fields, geom, {})
     theta_deg, phi_deg = np.rad2deg(grid.theta), np.rad2deg(grid.phi)
+    zero = np.zeros(grid.size)
     for m in range(m_count):
-        e_theta = fields.theta_rows()[:, m]
-        e_phi = fields.phi_rows()[:, m]
+        e_theta = fields.values[:, m]
         reference = tmp_path / "reference.csv"
         fileio._write_table(reference, fileio.DUMP_COLUMNS,
                             [theta_deg, phi_deg, e_theta.real, e_theta.imag,
-                             e_phi.real, e_phi.imag])
+                             zero, zero])
         assert (tmp_path / "dump" / ("port_%d.csv" % (m + 1,))) \
             .read_bytes() == reference.read_bytes()

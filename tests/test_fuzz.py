@@ -269,7 +269,7 @@ def _pristine_inputs():
                                     params)
         os.makedirs(os.path.join(tmp, "meas"))
         for name, fields in (("isolated", es), ("coupled", ec)):
-            rows = fields.theta_rows()
+            rows = fields.values
             for m in range(geom.element_count):
                 fileio.write_measurement_csv(
                     os.path.join(tmp, "meas", "%s_%d.csv" % (name, m + 1)),

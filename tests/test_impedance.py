@@ -73,7 +73,7 @@ CASES = (("isotropic", "axial"), ("ideal_dipole", "axial"),
 def test_z_full_matches_gemm_reference(n_theta, n_phi):
     grid = sphere_grid(n_theta, n_phi)
     for element, orientation in CASES:
-        g_theta, _ = gain_arrays(element, grid.theta, grid.phi)
+        g_theta = gain_arrays(element, grid.theta, grid.phi)
         weight = g_theta ** 2 * grid.weight / (4.0 * np.pi)
         u = phase_argument(grid.theta, grid.phi, orientation)
         for m_count in (4, 8, 16):
@@ -87,8 +87,10 @@ def test_z_full_matches_gemm_reference(n_theta, n_phi):
 
 def _z_full_one_spacing(geom, grid, orientation):
     """(Z, self power) as z_full computed them before the sweep builder:
-    the gains, weights and direction cosines rebuilt for each spacing."""
-    g_theta, g_phi = gain_arrays(geom.element, grid.theta, grid.phi)
+    the gains, weights and direction cosines rebuilt for each spacing, and
+    the zero E_phi gain added in."""
+    g_theta = gain_arrays(geom.element, grid.theta, grid.phi)
+    g_phi = np.zeros_like(g_theta)
     power = (np.abs(g_theta) ** 2 + np.abs(g_phi) ** 2) * grid.weight
     u = phase_argument(grid.theta, grid.phi, orientation)
     col = impedance._lag_column(power / (4.0 * np.pi), K * geom.spacing * u,
@@ -116,8 +118,10 @@ def test_z_full_sweep_is_bit_identical_to_one_spacing_at_a_time(
 
 def _axial_z_per_point(geom, grid, spacing):
     """(Z, self power) with each point's phasor exp(j k d cos(theta))
-    computed on its own, as the lag sums had it before the theta rings."""
-    g_theta, g_phi = gain_arrays(geom.element, grid.theta, grid.phi)
+    computed on its own, as the lag sums had it before the theta rings,
+    and the zero E_phi gain added in."""
+    g_theta = gain_arrays(geom.element, grid.theta, grid.phi)
+    g_phi = np.zeros_like(g_theta)
     power = ((np.abs(g_theta) ** 2 + np.abs(g_phi) ** 2) * grid.weight /
              (4.0 * np.pi))
     step = np.exp(1j * (K * spacing * np.cos(grid.theta)))
@@ -464,7 +468,7 @@ def test_z_from_measurements_refuses_fields_out_of_range():
     # it would come out 0 (overflow), infinite or short of digits
     # (underflow), so the scale is refused instead
     e = isolated_fields(ArrayGeometry(element_count=2, spacing=0.1),
-                        hplane_grid(30.0)).theta_rows()
+                        hplane_grid(30.0)).values
     z = z_from_measurements(e).values
     for scale in (1e-60, 1e50):
         assert_allclose(z_from_measurements(scale * e).values, z,

@@ -42,18 +42,16 @@ def test_isolated_fields_shape_and_rows():
     geom = ArrayGeometry(element_count=3, spacing=0.3)
     grid = hplane_grid(2.0)
     fields = isolated_fields(geom, grid)
-    assert fields.values.shape == (2 * grid.size, 3)
+    assert fields.values.shape == (grid.size, 3)
     assert fields.element_count == 3
-    # isotropic elements put everything in the theta polarization
-    assert_allclose(fields.phi_rows(), 0.0)
-    assert_allclose(np.abs(fields.theta_rows()), 1.0)
+    assert_allclose(np.abs(fields.values), 1.0)
 
 
 def test_isolated_fields_phase_progression():
     geom = ArrayGeometry(element_count=2, spacing=0.25)
     grid = hplane_grid(90.0)
     fields = isolated_fields(geom, grid)
-    rows = fields.theta_rows()
+    rows = fields.values
     # at phi = 90 deg the second element leads by a quarter wavelength
     idx = int(np.argmin(np.abs(grid.phi - np.pi / 2)))
     assert_allclose(rows[idx, 1] / rows[idx, 0], 1.0j, atol=1e-12)
@@ -114,20 +112,23 @@ def test_singular_ratio_full_rank():
 
 
 def test_field_matrix_validation():
+    # one row per grid point; 8 is the two rows per point of an
+    # (E_theta, E_phi) layout
     grid = hplane_grid(90.0)
-    with pytest.raises(ValueError):
-        FieldMatrix(values=np.zeros((5, 2), dtype=complex), grid=grid)
+    assert FieldMatrix(values=np.zeros((4, 2), dtype=complex),
+                       grid=grid).element_count == 2
+    for rows in (0, 3, 5, 8):
+        with pytest.raises(ValueError, match="one row per grid point"):
+            FieldMatrix(values=np.zeros((rows, 2), dtype=complex), grid=grid)
 
 
 def _isolated_fields_per_point(geom, grid):
     """E_s with every point's axial row computed on its own."""
-    g_theta, _ = gain_arrays(geom.element, grid.theta, grid.phi)
+    g_theta = gain_arrays(geom.element, grid.theta, grid.phi)
     u = np.cos(grid.theta)
     m = np.arange(geom.element_count)
-    values = np.zeros((2 * grid.size, geom.element_count), dtype=complex)
-    values[0::2] = g_theta[:, None] * np.exp(
+    return g_theta[:, None] * np.exp(
         1j * K * geom.spacing * u[:, None] * m[None, :])
-    return values
 
 
 @pytest.mark.parametrize("n_theta,n_phi", [(64, 128), (128, 256), (7, 3)])
@@ -168,9 +169,7 @@ def test_couple_keeps_the_theta_rows_of_the_product():
     c = coupling_truth(port_impedance_for(geom)).values
     ec = couple(es, c)
     product = es.values @ c
-    assert np.array_equal(ec.theta_rows().view(np.int64),
-                          product[0::2].view(np.int64))
-    assert not np.signbit(ec.phi_rows().view(float)).any()
+    assert np.array_equal(ec.values.view(np.int64), product.view(np.int64))
     assert ec.grid is grid
 
 
@@ -179,7 +178,8 @@ def test_couple_keeps_the_theta_rows_of_the_product():
     (sphere_grid(8, 16), {"kind": "full_sphere", "n_theta": 8, "n_phi": 16})],
     ids=["h_plane", "full_sphere"])
 def test_no_field_dump_prints_negative_zero(tmp_path, grid, params):
-    # E_phi rows are exact zeros; 0 * C gave -0 in them for M = 2 and 3
+    # no cell prints -0; a product 0 * C gave -0 in E_phi cells for
+    # M = 2 and 3 while a field matrix still held E_phi rows
     for m_count in range(1, 9):
         geom = ArrayGeometry(m_count, 0.3, "ideal_dipole")
         ec, _ = coupled_fields(geom, grid, port_impedance_for(geom))
