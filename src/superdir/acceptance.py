@@ -42,6 +42,21 @@ def _grid():
     return sphere_grid(64, 128)
 
 
+@lru_cache(maxsize=None)
+def _ring_grid():
+    """The full sphere with 2 points per theta ring, for the recoveries.
+
+    Its 64 Gauss-Legendre rings are ``_grid()``'s, bit for bit.  Axial
+    E_s and E_c depend on theta alone, so on either grid they are their
+    64 ring rows, each repeated once per point of the ring (128 or 2
+    times).  To an unweighted least squares, repeating every row 64 times
+    more is scaling every row by 8, which changes neither its solution
+    nor its singular ratio, relative residual or symmetry residuals: this
+    grid is the whole problem, with 64 times fewer rows.
+    """
+    return sphere_grid(64, 2)
+
+
 def _geom(m_count, spacing, element):
     return ArrayGeometry(element_count=m_count, spacing=spacing,
                          element=element)
@@ -68,8 +83,12 @@ def _fields(m_count, spacing, element, grid):
 def _recovery(element, m_count, spacing):
     """Scalars of one surrogate array on the full sphere: E_s's singular
     ratio, the relative Frobenius error of C's full-grid estimate, and the
-    larger column-reversal residual of C_true and of that estimate."""
-    _, es, ec, c_true = _fields(m_count, spacing, element, _grid())
+    larger column-reversal residual of C_true and of that estimate.
+
+    The fields are sampled on ``_ring_grid()``: an axial array's fields
+    do not depend on phi, so its 64 theta rings hold every distinct row.
+    """
+    _, es, ec, c_true = _fields(m_count, spacing, element, _ring_grid())
     est = coupling.estimate_c_full(es, ec)
     c_est = est.values
     return _Recovery(
@@ -150,7 +169,10 @@ def criterion_3():
 
 
 def criterion_4():
-    """Full-grid least squares recovers the surrogate C exactly."""
+    """Full-grid least squares recovers the surrogate C exactly.
+
+    Full grid means every distinct row of the full sphere: the 64 theta
+    rings of ``_ring_grid()`` (see ``_recovery``)."""
     worst = max(_recovery("ideal_dipole", m_count, d).c_error
                 for m_count in (2, 4, 8) for d in (0.1, 0.2, 0.3))
     return _result(4, "c_recovery_oracle", worst, 1e-8,
@@ -210,7 +232,8 @@ def criterion_5():
 
 
 def criterion_6():
-    """Column-reversal symmetry of true and estimated C."""
+    """Column-reversal symmetry of true and estimated C, with C estimated
+    from the full sphere's 64 theta rings (see ``_recovery``)."""
     worst = max(_recovery(element, m_count, d).symmetry
                 for element in ("isotropic", "ideal_dipole")
                 for m_count in (2, 4, 8) for d in (0.1, 0.3))
@@ -241,11 +264,16 @@ def criterion_7():
 
 def criterion_8():
     """Isolated-field matrices keep full column rank, so the cutoff least
-    squares and the normal equations recover one coupling matrix."""
+    squares and the normal equations recover one coupling matrix.
+
+    Both solves take the full sphere's 64 theta rings (``_ring_grid()``):
+    64x128 repeats each of its rows 64 times, which scales E_s^H E_s and
+    E_s^H E_c by 64 alike and leaves the solution and the singular ratio
+    as they are."""
     min_ratio = min(_recovery(element, m_count, d).singular_ratio
                     for element in ("isotropic", "ideal_dipole")
                     for m_count in (2, 4, 8) for d in (0.1, 0.2, 0.3))
-    _, es, ec, _ = _fields(4, 0.1, "ideal_dipole", _grid())
+    _, es, ec, _ = _fields(4, 0.1, "ideal_dipole", _ring_grid())
     c_svd = coupling.estimate_c_full(es, ec)
     c_normal, _ = gated_solve(es.values.conj().T @ es.values,
                               es.values.conj().T @ ec.values,

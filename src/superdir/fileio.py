@@ -164,26 +164,46 @@ def _read_table(path, header):
     if [cell.strip() for cell in lines[0].split(",")] != header:
         raise ValidationError(
             "%s:1: expected header %s" % (path, ",".join(header)))
-    linenos = [lineno for lineno, line in enumerate(lines[1:], start=2)
-               if line.strip()]
-    lines = [lines[lineno - 1] for lineno in linenos]
-    table = np.empty((0, len(header)))
-    if lines:
-        try:
-            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:
-            _check_rows(path, lines, linenos, len(header))
-            raise ValidationError("%s: %s" % (path, exc)) from exc
-        # loadtxt also strips the ASCII separators \x1c-\x1f around a
-        # cell as whitespace, where float() refuses them.
-        if table.shape[1] != len(header) or \
-                any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
-            _check_rows(path, lines, linenos, len(header))
+    body = lines[1:]
+    while body and not body[-1].strip():
+        body.pop()  # trailing blank lines shift no line number
+    linenos = range(2, len(body) + 2)
+    # Parse every line first.  loadtxt skips empty and lone "\r" lines
+    # and refuses other blank ones, so a row count short of the lines, or
+    # any refusal, means a blank line may be in the way: only then find
+    # them, and parse the rest.
+    try:
+        table = _parse_rows(path, body, linenos, len(header), text)
+    except ValidationError:
+        table = None
+    if table is None or len(table) != len(body):
+        linenos = [lineno for lineno in linenos if lines[lineno - 1].strip()]
+        table = _parse_rows(path, [lines[lineno - 1] for lineno in linenos],
+                            linenos, len(header), text)
     bad = ~np.isfinite(table).all(axis=1)
     if bad.any():
         raise ValidationError(
             "%s:%d: non-finite value" % (path, linenos[bad.argmax()]))
     return table, linenos
+
+
+def _parse_rows(path, lines, linenos, width, text):
+    """(n, width) float array of the non-blank table ``lines``, from one
+    ``np.loadtxt`` call; a line outside the table grammar raises
+    ValidationError naming ``path:line``."""
+    if not lines:
+        return np.empty((0, width))
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        _check_rows(path, lines, linenos, width)
+        raise ValidationError("%s: %s" % (path, exc)) from exc
+    # loadtxt also strips the ASCII separators \x1c-\x1f around a
+    # cell as whitespace, where float() refuses them.
+    if table.shape[1] != width or \
+            any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+        _check_rows(path, lines, linenos, width)
+    return table
 
 
 def read_measurement_csv(path):

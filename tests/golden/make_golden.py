@@ -11,9 +11,8 @@ that pins the axial fields.
 
 BLAS is pinned to one thread before numpy loads. With two threads the
 sweep, pattern, dump, estimate-c and ingest outputs come out the same,
-but the acceptance report changes in the detail digits of criteria 3, 4
-and 6: the lag sums of Z and the least squares for C run through
-threaded BLAS.
+but the acceptance report changes in the detail digits of criterion 3:
+the lag sums of Z run through threaded BLAS.
 """
 
 import os

@@ -5,12 +5,22 @@ per-criterion pass/fail report; the detail string lands in the assert
 message on failure.
 """
 
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from superdir import acceptance, experiment, impedance, surrogate
+
+# (element, M, d) of every array whose C criteria 4, 6 and 8 recover on
+# the full sphere: criterion 8 reads all 18, criterion 4 the dipoles and
+# criterion 6 those at d = 0.1 and 0.3
+RECOVERY_ARRAYS = [(element, m_count, d)
+                   for element in ("isotropic", "ideal_dipole")
+                   for m_count in (2, 4, 8) for d in (0.1, 0.2, 0.3)]
 
 
 def _check(result):
@@ -181,5 +191,69 @@ def test_recovery_takes_no_second_svd_of_the_isolated_fields(monkeypatch):
     finally:
         acceptance._recovery.cache_clear()
     assert 0.0 < record.singular_ratio < 1e-5
-    assert (2 * acceptance._grid().size, 8) not in shapes
+    assert (acceptance._ring_grid().size, 8) not in shapes
     assert all(rows <= 8 for rows, _ in shapes)
+
+
+def test_recovery_criteria_read_only_the_listed_arrays(monkeypatch):
+    # RECOVERY_ARRAYS below must cover what criteria 4, 6 and 8 read,
+    # criterion 8's normal-equations pair (M=4 dipoles, d = 0.1) included
+    original = acceptance._recovery
+    asked = set()
+
+    def recorded(*key):
+        asked.add(key)
+        return original(*key)
+
+    monkeypatch.setattr(acceptance, "_recovery", recorded)
+    for criterion in (acceptance.criterion_4, acceptance.criterion_6,
+                      acceptance.criterion_8):
+        criterion()
+    assert asked == set(RECOVERY_ARRAYS)
+    assert ("ideal_dipole", 4, 0.1) in asked
+
+
+@pytest.mark.parametrize("element, m_count, spacing", RECOVERY_ARRAYS)
+def test_ring_grid_holds_every_distinct_full_sphere_row(monkeypatch, element,
+                                                        m_count, spacing):
+    # 64x2 has 64x128's theta rings, so its ring rows are the same bits,
+    # and the recovery's scalars agree with those of the 8192-row problem
+    full, rings = acceptance._grid(), acceptance._ring_grid()
+    geom = acceptance._geom(m_count, spacing, element)
+    rows = [surrogate.isolated_fields(geom, grid).values[grid.rings[0]]
+            for grid in (full, rings)]
+    assert rows[0].shape == (64, m_count)
+    assert rows[0].tobytes() == rows[1].tobytes()
+    small = acceptance._recovery.__wrapped__(element, m_count, spacing)
+    monkeypatch.setattr(acceptance, "_ring_grid", acceptance._grid)
+    large = acceptance._recovery.__wrapped__(element, m_count, spacing)
+    assert small.singular_ratio == pytest.approx(large.singular_ratio,
+                                                 rel=1e-9, abs=0.0)
+    assert max(small.c_error, large.c_error) <= 1e-8
+    assert max(small.symmetry, large.symmetry) <= 1e-8
+
+
+def _report_lines(threads):
+    """``superdir acceptance`` from a fresh interpreter whose BLAS has
+    ``threads`` threads, as {criterion number: report line}."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(acceptance.__file__))))
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                 "MKL_NUM_THREADS"):
+        env[name] = str(threads)
+    done = subprocess.run([sys.executable, "-m", "superdir.cli",
+                           "acceptance"], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    return {int(line.split()[1]): line
+            for line in done.stdout.splitlines()
+            if line.startswith("criterion ")}
+
+
+def test_recovery_criteria_do_not_depend_on_the_blas_thread_count():
+    # the 128-row least squares of criteria 4, 6 and 8 give the same bits
+    # on 1 and 2 BLAS threads, where their 8192-row form did not
+    one, two = _report_lines(1), _report_lines(2)
+    assert sorted(one) == sorted(two) == list(range(1, 15))
+    for number in (4, 6, 8):
+        assert one[number] == two[number]

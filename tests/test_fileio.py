@@ -422,7 +422,8 @@ TABLE_CELLS = st.one_of(
 FINITE_CELLS = st.floats(allow_nan=False, allow_infinity=False).flatmap(
     lambda x: st.sampled_from(["%.17g" % x, repr(x)]))
 
-BLANK_LINES = st.sampled_from(["", " ", "\t", " \x0c ", "\x1f", "\xa0"])
+BLANK_LINES = st.sampled_from(["", " ", "\t", " \x0c ", "\x1f", "\xa0",
+                               "\x85", "\r"])
 
 
 @st.composite
@@ -478,6 +479,93 @@ def test_read_table_matches_row_walk(header, data):
         if got != _outcome(_walk_read_table, path, header):
             assert "_" in body or not body.isascii()
             assert got.endswith(": non-numeric value"), got
+
+
+def _scan_read_table(path, header):
+    """``fileio._read_table`` as it was when it stripped every line to
+    find the blank ones before one ``np.loadtxt`` call, kept as the
+    reference for its table, line numbers and messages."""
+    with open(path) as handle:
+        text = handle.read()
+    lines = text.split("\n")
+    if [cell.strip() for cell in lines[0].split(",")] != header:
+        raise ValidationError(
+            "%s:1: expected header %s" % (path, ",".join(header)))
+    linenos = [lineno for lineno, line in enumerate(lines[1:], start=2)
+               if line.strip()]
+    lines = [lines[lineno - 1] for lineno in linenos]
+    table = np.empty((0, len(header)))
+    if lines:
+        try:
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            fileio._check_rows(path, lines, linenos, len(header))
+            raise ValidationError("%s: %s" % (path, exc)) from exc
+        if table.shape[1] != len(header) or \
+                any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+            fileio._check_rows(path, lines, linenos, len(header))
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        raise ValidationError(
+            "%s:%d: non-finite value" % (path, linenos[bad.argmax()]))
+    return table, linenos
+
+
+# A good row, then each way a row can fail: non-numeric, short, long,
+# non-finite and padded with a separator loadtxt strips.
+SCAN_ROWS = ["1,2.5,-3", "1,x,3", "1,2", "1,2,3,4", "1,nan,3", "1,\x1f2,3"]
+
+
+@pytest.mark.parametrize("blank", ["", "  ", "\t", "\x85", "\r", " \r",
+                                   "\x0c", "\x1c", "\u3000"],
+                         ids=repr)
+def test_read_table_matches_the_line_scan(tmp_path, blank):
+    # a blank line before, between or after the rows, or none, then a row
+    # of each kind: the table bits, line numbers and message are the
+    # scanning reader's
+    header = fileio.MEASUREMENT_COLUMNS
+    path = str(tmp_path / "table.csv")
+    cases = 0
+    for end in ("\n", "\r\n"):
+        for where in (None, 0, 1, 2, 3):
+            for row in SCAN_ROWS:
+                for final in ("", end, end + blank, end + blank + end):
+                    body = ["0,0,0", "0.5,1,2", row]
+                    if where is not None:
+                        body.insert(where, blank)
+                    with open(path, "w", encoding="utf-8",
+                              newline="") as handle:
+                        handle.write(end.join([",".join(header)] + body) +
+                                     final)
+                    got = _outcome(fileio._read_table, path, header)
+                    assert got == _outcome(_scan_read_table, path, header), \
+                        (end, where, row, final)
+                    cases += 1
+    assert cases == 240
+
+
+def test_read_table_parses_a_table_without_blank_lines_once(monkeypatch,
+                                                            tmp_path):
+    # no line is scanned for blanks when np.loadtxt takes every line
+    calls = []
+    original = fileio._parse_rows
+
+    def counted(path, lines, *args):
+        calls.append(len(lines))
+        return original(path, lines, *args)
+
+    monkeypatch.setattr(fileio, "_parse_rows", counted)
+    path = tmp_path / "table.csv"
+    for text, want in (("phi_deg,amplitude,phase_deg\r\n0,1,2\r\n", [1]),
+                       ("phi_deg,amplitude,phase_deg\n0,1,2\n\n\n", [1]),
+                       ("phi_deg,amplitude,phase_deg\n\n0,1,2\n", [2, 1]),
+                       ("phi_deg,amplitude,phase_deg\n \n0,1,2\n", [2, 1])):
+        path.write_text(text, encoding="utf-8")
+        calls.clear()
+        table, linenos = fileio._read_table(path, fileio.MEASUREMENT_COLUMNS)
+        assert table.tolist() == [[0.0, 1.0, 2.0]]
+        assert calls == want, text
+        assert list(linenos) == [len(want) + 1]
 
 
 @pytest.mark.parametrize("cell", ["1_0", "1_000.5", "\u0661",
