@@ -44,7 +44,8 @@ def _grid():
 
 @lru_cache(maxsize=None)
 def _ring_grid():
-    """The full sphere with 2 points per theta ring, for the recoveries.
+    """The full sphere with 2 points per theta ring, for the axial arrays
+    of criteria 2, 3, 4, 6 and 8.
 
     Its 64 Gauss-Legendre rings are ``_grid()``'s, bit for bit.  Axial
     E_s and E_c depend on theta alone, so on either grid they are their
@@ -52,7 +53,11 @@ def _ring_grid():
     times).  To an unweighted least squares, repeating every row 64 times
     more is scaling every row by 8, which changes neither its solution
     nor its singular ratio, relative residual or symmetry residuals: this
-    grid is the whole problem, with 64 times fewer rows.
+    grid is the whole problem, with 64 times fewer rows.  An axial Z's
+    integrand depends on theta alone too, and the phi trapezoid of a
+    constant is exact at any point count, so each ring contributes the
+    same term on 2 points as on 128: the quadrature differs only in the
+    rounding of its sums.
     """
     return sphere_grid(64, 2)
 
@@ -130,9 +135,13 @@ def criterion_1():
 
 
 def criterion_2():
-    """Half-wave decoupling: Z = I and all four methods agree."""
+    """Half-wave decoupling: Z = I and all four methods agree.
+
+    Z is the quadrature on ``_ring_grid()``: the axial isotropic
+    integrand does not depend on phi, so its 64 theta rings are the
+    whole of 64x128's quadrature."""
     geom = _geom(4, 0.5, "isotropic")
-    z = impedance.z_full(geom, _grid())
+    z = impedance.z_full(geom, _ring_grid())
     err_z = float(np.max(np.abs(z.values - np.eye(4))))
     e = steering_vector(geom, Direction(theta=0.0, phi=0.0))
     c_true = _c_true(geom)
@@ -149,14 +158,21 @@ def criterion_2():
 
 
 def criterion_3():
-    """Quadrature Z matches the sinc oracle and is grid-converged."""
+    """Quadrature Z matches the sinc oracle and is grid-converged.
+
+    The axial isotropic integrand depends on theta alone, so its one
+    discretization is the Gauss-Legendre theta nodes: ``_ring_grid()``
+    holds 64x128's rings bit for bit, and 128x2 holds 128x256's.  The
+    doubling check doubles those nodes; doubling the phi points, whose
+    trapezoid of a constant is exact, would change nothing but rounding.
+    """
     spacings = [round(float(d), 3) for d in np.arange(0.05, 0.501, 0.05)]
     geom = _geom(8, spacings[0], "isotropic")
     worst_oracle = 0.0
     worst_conv = 0.0
     for d, z_quad, z_fine in zip(
-            spacings, impedance.z_full_sweep(geom, _grid(), spacings),
-            impedance.z_full_sweep(geom, sphere_grid(128, 256), spacings)):
+            spacings, impedance.z_full_sweep(geom, _ring_grid(), spacings),
+            impedance.z_full_sweep(geom, sphere_grid(128, 2), spacings)):
         z_oracle = impedance.z_isotropic_closed(_geom(8, d, "isotropic"))
         worst_oracle = max(worst_oracle,
                            float(np.max(np.abs(z_quad.values - z_oracle.values))))

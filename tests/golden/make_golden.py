@@ -9,10 +9,10 @@ from that dump (full and reduced-angle), the measurement CSVs made from
 the same fields, ``ingest`` on them, and a small full-sphere dump pair
 that pins the axial fields.
 
-BLAS is pinned to one thread before numpy loads. With two threads the
-sweep, pattern, dump, estimate-c and ingest outputs come out the same,
-but the acceptance report changes in the detail digits of criterion 3:
-the lag sums of Z run through threaded BLAS.
+BLAS is pinned to one thread before numpy loads. With two threads every
+output here comes out the same, the acceptance report included, but the
+lag sums of Z run through threaded BLAS, so on a large enough grid (an
+M=8 dipole sweep on 128x256) the digits move with the thread count.
 """
 
 import os

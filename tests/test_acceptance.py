@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from superdir import acceptance, experiment, impedance, surrogate
+from superdir.geometry import sphere_grid
 
 # (element, M, d) of every array whose C criteria 4, 6 and 8 recover on
 # the full sphere: criterion 8 reads all 18, criterion 4 the dipoles and
@@ -21,6 +22,11 @@ from superdir import acceptance, experiment, impedance, surrogate
 RECOVERY_ARRAYS = [(element, m_count, d)
                    for element in ("isotropic", "ideal_dipole")
                    for m_count in (2, 4, 8) for d in (0.1, 0.2, 0.3)]
+# (element, M, d) of the axial Z quadratures of criterion 2 (the
+# half-wave array) and criterion 3 (its 10 spacings), which both take on
+# ring grids
+Z_ARRAYS = [("isotropic", 4, 0.5)] + [
+    ("isotropic", 8, round(float(d), 3)) for d in np.arange(0.05, 0.501, 0.05)]
 
 
 def _check(result):
@@ -213,17 +219,30 @@ def test_recovery_criteria_read_only_the_listed_arrays(monkeypatch):
     assert ("ideal_dipole", 4, 0.1) in asked
 
 
-@pytest.mark.parametrize("element, m_count, spacing", RECOVERY_ARRAYS)
+@pytest.mark.parametrize("element, m_count, spacing", RECOVERY_ARRAYS + [
+    array for array in Z_ARRAYS if array not in RECOVERY_ARRAYS])
 def test_ring_grid_holds_every_distinct_full_sphere_row(monkeypatch, element,
                                                         m_count, spacing):
-    # 64x2 has 64x128's theta rings, so its ring rows are the same bits,
-    # and the recovery's scalars agree with those of the 8192-row problem
-    full, rings = acceptance._grid(), acceptance._ring_grid()
+    # 64x2 has 64x128's theta rings and 128x2 has 128x256's (criterion 3's
+    # doubling pair), so their ring rows are the same bits and Z differs
+    # only in the rounding of its sums; the recovery's scalars agree with
+    # those of the 8192-row problem
     geom = acceptance._geom(m_count, spacing, element)
-    rows = [surrogate.isolated_fields(geom, grid).values[grid.rings[0]]
-            for grid in (full, rings)]
-    assert rows[0].shape == (64, m_count)
-    assert rows[0].tobytes() == rows[1].tobytes()
+    for full, rings in ((acceptance._grid(), acceptance._ring_grid()),
+                        (sphere_grid(128, 256), sphere_grid(128, 2))):
+        assert (full.theta[full.rings[0]].tobytes() ==
+                rings.theta[rings.rings[0]].tobytes())
+        rows = [surrogate.isolated_fields(geom, grid).values[grid.rings[0]]
+                for grid in (full, rings)]
+        assert rows[0].shape == (len(full.rings[0]), m_count)
+        assert rows[0].tobytes() == rows[1].tobytes()
+        z_full, z_rings = (impedance.z_full(geom, grid)
+                           for grid in (full, rings))
+        assert np.max(np.abs(z_rings.values - z_full.values)) <= 1e-13
+        assert z_rings.self_power == pytest.approx(z_full.self_power,
+                                                   rel=1e-13, abs=0.0)
+    if (element, m_count, spacing) not in RECOVERY_ARRAYS:
+        return
     small = acceptance._recovery.__wrapped__(element, m_count, spacing)
     monkeypatch.setattr(acceptance, "_ring_grid", acceptance._grid)
     large = acceptance._recovery.__wrapped__(element, m_count, spacing)
@@ -250,10 +269,10 @@ def _report_lines(threads):
             if line.startswith("criterion ")}
 
 
-def test_recovery_criteria_do_not_depend_on_the_blas_thread_count():
-    # the 128-row least squares of criteria 4, 6 and 8 give the same bits
-    # on 1 and 2 BLAS threads, where their 8192-row form did not
+def test_acceptance_report_does_not_depend_on_the_blas_thread_count():
+    # every line: the lag sums of criteria 2 and 3 and the least squares
+    # of criteria 4, 6 and 8 run through BLAS, which splits long enough
+    # vectors across threads
     one, two = _report_lines(1), _report_lines(2)
-    assert sorted(one) == sorted(two) == list(range(1, 15))
-    for number in (4, 6, 8):
-        assert one[number] == two[number]
+    assert sorted(one) == list(range(1, 15))
+    assert one == two
