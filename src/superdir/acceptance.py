@@ -16,11 +16,28 @@ import numpy as np
 
 from . import (beamforming, coupling, experiment, fileio, impedance,
                surrogate)
-from .geometry import (ArrayGeometry, Direction, hplane_grid, sphere_grid,
-                       steering_matrix, steering_vector)
+from .geometry import (AngularGrid, ArrayGeometry, Direction, hplane_grid,
+                       sphere_grid, steering_matrix, steering_vector)
 from .linalg import gated_solve
 
 SWEEP_SPACINGS = (0.5, 0.4, 0.3, 0.2, 0.1)
+# The spacings at which the criteria read each array's ground-truth C,
+# by (element, M), so that one port-network sweep builds them all: the
+# recoveries of criteria 4, 6 and 8 at 0.1, 0.2 and 0.3, criterion 2's
+# half-wave array, criterion 5's M = 3 array and the in-plane dipole
+# arrays of ``_dipole_setup``.
+_C_SPACINGS = {
+    ("isotropic", 2): (0.1, 0.2, 0.3),
+    ("isotropic", 4): (0.1, 0.2, 0.3, 0.5),
+    ("isotropic", 8): (0.1, 0.2, 0.3),
+    ("ideal_dipole", 2): (0.1, 0.2, 0.3),
+    ("ideal_dipole", 3): (0.3,),
+    ("ideal_dipole", 4): SWEEP_SPACINGS,
+    ("ideal_dipole", 8): (0.1, 0.2, 0.3),
+}
+# The spacings at which criteria 5, 7, 11 and 12 read each in-plane
+# dipole array's Z, by M.
+_DIPOLE_Z_SPACINGS = {4: SWEEP_SPACINGS, 8: (0.3,)}
 _Recovery = namedtuple("_Recovery", "singular_ratio c_error symmetry")
 
 
@@ -57,9 +74,24 @@ def _ring_grid():
     integrand depends on theta alone too, and the phi trapezoid of a
     constant is exact at any point count, so each ring contributes the
     same term on 2 points as on 128: the quadrature differs only in the
-    rounding of its sums.
+    rounding of its sums.  It is taken from ``_grid()``, so a cold run
+    solves for the 64 nodes once.
     """
-    return sphere_grid(64, 2)
+    return _two_per_ring(_grid(), 128)
+
+
+def _two_per_ring(grid, n_phi):
+    """``sphere_grid(n_theta, 2)``, bit for bit, taken from ``grid =
+    sphere_grid(n_theta, n_phi)`` for n_phi a power of two: every
+    (n_phi / 2)-th point, its weight times n_phi / 2, and no second
+    Newton solve.  Both hold the same nodes, and scaling by a power of
+    two is exact, so 2 pi (n_phi / 2) / n_phi is pi and the weight
+    w (2 pi / n_phi) (n_phi / 2) is w pi, as sphere_grid(n_theta, 2)
+    computes them.
+    """
+    step = n_phi // 2
+    return AngularGrid(theta=grid.theta[::step], phi=grid.phi[::step],
+                       weight=grid.weight[::step] * step, kind="full_sphere")
 
 
 def _geom(m_count, spacing, element):
@@ -68,9 +100,20 @@ def _geom(m_count, spacing, element):
 
 
 @lru_cache(maxsize=None)
+def _port_networks(element, m_count):
+    """{spacing: port network} of the M-element array at each of its
+    ``_C_SPACINGS``, from one ``port_impedance_sweep``: an EMF network
+    is elementwise in its arguments, so each keeps its bits."""
+    spacings = _C_SPACINGS[element, m_count]
+    return dict(zip(spacings, impedance.port_impedance_sweep(
+        _geom(m_count, spacings[0], element), spacings)))
+
+
+@lru_cache(maxsize=None)
 def _c_true(geom):
     """Ground-truth C of ``geom`` as an (M, M) array."""
-    return surrogate.coupling_truth(impedance.port_impedance_for(geom)).values
+    networks = _port_networks(geom.element, geom.element_count)
+    return surrogate.coupling_truth(networks[geom.spacing]).values
 
 
 def _fields(m_count, spacing, element, grid):
@@ -111,10 +154,21 @@ def _isotropic_endfire(m_count, spacing):
 
 
 @lru_cache(maxsize=None)
+def _dipole_z(m_count):
+    """{spacing: Z} of the in-plane M-dipole array on ``_grid()`` at each
+    of its ``_DIPOLE_Z_SPACINGS``, from one ``z_full_sweep``, which gives
+    each Z the bits of a ``z_full`` at that spacing."""
+    spacings = _DIPOLE_Z_SPACINGS[m_count]
+    return dict(zip(spacings, impedance.z_full_sweep(
+        _geom(m_count, spacings[0], "ideal_dipole"), _grid(), spacings,
+        "in_plane")))
+
+
+@lru_cache(maxsize=None)
 def _dipole_setup(m_count, spacing):
     """In-plane dipole array: Z, endfire steering, ground-truth C."""
     geom = _geom(m_count, spacing, "ideal_dipole")
-    z = impedance.z_full(geom, _grid(), "in_plane")
+    z = _dipole_z(m_count)[spacing]
     steer = Direction(theta=np.pi / 2, phi=np.pi / 2)
     e = steering_vector(geom, steer, "in_plane")
     return geom, z, e, _c_true(geom)

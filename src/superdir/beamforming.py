@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import gated_solve
+from .linalg import _allclose, gated_solve
 
 DELTA_F_FLOOR_DB = -300.0
 
@@ -115,7 +115,7 @@ def power_decomposition(z, e, r_loss):
     eigenvalues of a superdirective Z blow the loss term up first.
     """
     zv = z.values
-    if not np.allclose(zv, zv.T, atol=1e-12):
+    if not _allclose(zv, zv.T, 1e-12):
         raise ValueError("power decomposition requires a symmetric matrix")
     lam, u = np.linalg.eigh(zv)
     if lam.min() <= 0.0:

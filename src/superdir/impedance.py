@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import K, gain_arrays, phase_argument
-from .linalg import condition_number, gated_solve
+from .linalg import _allclose, condition_number, gated_solve
 
 # Half-wave dipole self impedance in ohms, the standard textbook figure.
 HALFWAVE_SELF_IMPEDANCE = 73.08 + 42.21j
@@ -77,9 +77,9 @@ class ImpedanceMatrix:
 
     def validate(self):
         z = self.values
-        if not np.allclose(z, z.T, atol=1e-12):
+        if not _allclose(z, z.T, 1e-12):
             raise ValueError("impedance matrix must be symmetric")
-        if not np.allclose(np.diag(z), 1.0, atol=1e-12):
+        if not _allclose(np.diag(z), 1.0, 1e-12):
             raise ValueError("normalized impedance matrix needs a unit diagonal")
         if np.linalg.eigvalsh(z).min() < -1e-9:
             raise ValueError("impedance matrix is not positive semi-definite")

@@ -7,6 +7,8 @@ parameter is supplied.  Solves and least squares refuse a NaN or inf
 in their inputs with ``ValueError``, which LAPACK itself does not check.
 """
 
+import math
+
 import numpy as np
 
 CONDITION_GATE = 1e12
@@ -33,7 +35,24 @@ def _require_finite(*arrays):
 
 
 def condition_number(a):
-    return float(np.linalg.cond(a))
+    """2-norm condition number, bit-equal to ``float(np.linalg.cond(a))``
+    from the one SVD, without that wrapper's per-call cost.  As there, a
+    NaN ratio (0/0) reads inf unless ``a`` holds a NaN."""
+    sv = np.linalg.svd(a, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = sv[0] / sv[-1]
+    if np.isnan(ratio) and not np.isnan(a).any():
+        return math.inf
+    return float(ratio)
+
+
+def _allclose(a, b, atol):
+    """``np.allclose(a, b, atol=atol)``: every |a - b| <= atol + 1e-5 |b|
+    where b is finite, or a == b, with the same predicate and without
+    that wrapper's per-call cost."""
+    with np.errstate(invalid="ignore"):
+        return bool(((np.abs(a - b) <= atol + 1e-5 * np.abs(b)) &
+                     np.isfinite(b) | (a == b)).all())
 
 
 def gated_solve(a, b, tikhonov=None, context="matrix", condition=None):

@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from superdir import acceptance, experiment, impedance, surrogate
+from superdir import acceptance, experiment, geometry, impedance, surrogate
 from superdir.geometry import sphere_grid
 
 # (element, M, d) of every array whose C criteria 4, 6 and 8 recover on
@@ -32,6 +32,12 @@ Z_ARRAYS = [("isotropic", 4, 0.5)] + [
 def _check(result):
     assert result.passed, "criterion %d %s: %s" % (
         result.number, result.name, result.detail)
+
+
+def _clear_caches():
+    for value in vars(acceptance).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
 
 
 def test_criterion_01_uzkov_limit():
@@ -173,12 +179,79 @@ def test_each_surrogate_array_is_built_once_per_cold_run(monkeypatch):
 
     monkeypatch.setattr(surrogate, "isolated_fields", counted)
     for _ in range(2):
-        for value in vars(acceptance).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
+        _clear_caches()
         builds.clear()
         acceptance.run_all()
         assert Counter(builds) == {"full_sphere": 19, "h_plane": 3}
+
+
+def test_each_small_matrix_fixed_cost_is_paid_once_per_cold_run(monkeypatch):
+    # one EMF port-network sweep per dipole array size (M = 2, 3, 4, 8),
+    # and one Newton Gauss-Legendre solve per node count: 64 for _grid(),
+    # from which _ring_grid() is taken, 128 for criterion 3's doubling
+    # check and 32 for each of criterion 14's two sweeps.  Every cache is
+    # cleared before each run, so the second run pays them all again.
+    emf_calls = []
+    nodes = []
+    original_emf = impedance.mutual_impedance_emf
+    original_nodes = geometry.gauss_legendre
+
+    def counted_emf(d):
+        emf_calls.append(np.shape(d))
+        return original_emf(d)
+
+    def counted_nodes(n):
+        nodes.append(n)
+        return original_nodes(n)
+
+    monkeypatch.setattr(impedance, "mutual_impedance_emf", counted_emf)
+    monkeypatch.setattr(geometry, "gauss_legendre", counted_nodes)
+    for _ in range(2):
+        _clear_caches()
+        emf_calls.clear()
+        nodes.clear()
+        results = acceptance.run_all()
+        assert all(result.passed for result in results)
+        assert len(emf_calls) == 4
+        assert Counter(nodes) == {64: 1, 128: 1, 32: 2}
+
+
+@pytest.mark.parametrize("n_theta, n_phi", [(64, 128), (128, 256), (32, 64),
+                                            (7, 16), (5, 2)])
+def test_two_points_per_ring_are_sphere_grid_bit_for_bit(n_theta, n_phi):
+    # every (n_phi / 2)-th point of sphere_grid(n_theta, n_phi), weights
+    # times n_phi / 2, is sphere_grid(n_theta, 2) without its Newton solve
+    taken = acceptance._two_per_ring(sphere_grid(n_theta, n_phi), n_phi)
+    direct = sphere_grid(n_theta, 2)
+    for name in ("theta", "phi", "weight"):
+        assert np.array_equal(getattr(taken, name).view(np.int64),
+                              getattr(direct, name).view(np.int64)), name
+    assert taken.kind == direct.kind == "full_sphere"
+
+
+def test_ring_grid_is_the_64x2_sphere_grid():
+    _clear_caches()
+    rings, direct = acceptance._ring_grid(), sphere_grid(64, 2)
+    for name in ("theta", "phi", "weight"):
+        assert (getattr(rings, name).view(np.int64).tolist() ==
+                getattr(direct, name).view(np.int64).tolist()), name
+
+
+def test_networks_and_dipole_z_match_one_array_at_a_time():
+    # the per-size sweeps give each array the bits it had on its own
+    _clear_caches()
+    for (element, m_count), spacings in acceptance._C_SPACINGS.items():
+        for d in spacings:
+            geom = acceptance._geom(m_count, d, element)
+            assert (acceptance._port_networks(element, m_count)[d].tobytes()
+                    == impedance.port_impedance_for(geom).tobytes())
+    for m_count, spacings in acceptance._DIPOLE_Z_SPACINGS.items():
+        for d in spacings:
+            geom = acceptance._geom(m_count, d, "ideal_dipole")
+            alone = impedance.z_full(geom, acceptance._grid(), "in_plane")
+            swept = acceptance._dipole_z(m_count)[d]
+            assert swept.values.tobytes() == alone.values.tobytes()
+            assert swept.self_power == alone.self_power
 
 
 def test_recovery_takes_no_second_svd_of_the_isolated_fields(monkeypatch):

@@ -185,6 +185,16 @@ def test_power_decomposition_identities():
     assert_allclose(p_loss, r * np.linalg.norm(a) ** 2, rtol=1e-9)
 
 
+def test_power_decomposition_refuses_an_asymmetric_matrix():
+    e = np.ones(2, dtype=complex)
+    skew = ImpedanceMatrix(values=np.array([[1.0, 0.5], [0.5 + 1e-4, 1.0]]))
+    with pytest.raises(ValueError, match="requires a symmetric matrix"):
+        power_decomposition(skew, e, 0.0)
+    # an asymmetry inside 1e-12 + 1e-5 |z| is accepted
+    near = ImpedanceMatrix(values=np.array([[1.0, 0.5], [0.5 + 1e-6, 1.0]]))
+    assert power_decomposition(near, e, 0.0)[0] > 0.0
+
+
 def test_loss_ratio_blows_up_when_compact():
     r = loss_resistance(0.96)
 

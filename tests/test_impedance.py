@@ -313,6 +313,21 @@ def test_validate_accepts_physical_matrix():
         bad.validate()
 
 
+@pytest.mark.parametrize("values, message", [
+    ([[1.0, 0.5], [0.5 + 1e-4, 1.0]], "impedance matrix must be symmetric"),
+    ([[1.0, 0.5], [0.5, 1.0 + 1e-4]],
+     "normalized impedance matrix needs a unit diagonal"),
+    ([[1.0, 2.0], [2.0, 1.0]],
+     "impedance matrix is not positive semi-definite"),
+])
+def test_validate_names_what_is_wrong(values, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        ImpedanceMatrix(values=np.array(values)).validate()
+    # inside the tolerance of the symmetry check, 1e-12 + 1e-5 |z|
+    ImpedanceMatrix(values=np.array([[1.0, 0.5], [0.5 + 1e-6, 1.0]]))\
+        .validate()
+
+
 def test_emf_mutual_against_tabulated():
     # half-wave dipoles, side by side: classic tabulated curve
     z = mutual_impedance_emf(0.5)
