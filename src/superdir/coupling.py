@@ -122,18 +122,18 @@ def default_reduced_angles(p):
 
 
 def minimum_angles(m_count):
-    """Angle count required by the reduced solve: M/2 even, M odd."""
-    return m_count // 2 if m_count % 2 == 0 else m_count
+    """Angle count required by the reduced solve: ceil(M/2)."""
+    return (m_count + 1) // 2
 
 
 def estimate_c_reduced(ec_samples, angles_phi, geom):
     """Recover C from H-plane samples at a handful of azimuth angles.
 
     ``ec_samples`` is (P, M): the coupled field of each single-port
-    excitation at P angles on the theta = pi/2 cut.  For even M the
-    column-reversal symmetry ties column m to column M+1-m, so each pair
-    of columns shares M unknowns fed by 2P equations and P >= M/2
-    suffices; odd arrays get no such reduction and need P >= M.
+    excitation at P angles on the theta = pi/2 cut.  The column-reversal
+    symmetry ties column m to column M-1-m, so each pair of columns
+    shares M unknowns fed by 2P equations and P >= ceil(M/2) suffices;
+    an odd array's middle column is its own mirror.
     """
     ec_samples = np.asarray(ec_samples, dtype=complex)
     angles_phi = np.asarray(angles_phi, dtype=float)
@@ -148,16 +148,14 @@ def estimate_c_reduced(ec_samples, angles_phi, geom):
             (p, need, m_count))
     theta = np.full(p, np.pi / 2)
     a = steering_matrix(geom, theta, angles_phi, "in_plane")
-    if m_count % 2 == 0:
-        # Column m and its mirror M-1-m stack into one right-hand side;
-        # one solve takes every pair, and the mirror is the reversed column.
-        half = m_count // 2
-        cols, ratio = lstsq_cutoff(
-            np.vstack([a, a[:, ::-1]]),
-            np.vstack([ec_samples[:, :half], ec_samples[:, ::-1][:, :half]]))
-        c = np.hstack([cols, cols[::-1, ::-1]])
-    else:
-        c, ratio = lstsq_cutoff(a, ec_samples)
+    # Column m and its mirror M-1-m stack into one right-hand side; one
+    # solve takes every pair, and the mirror is the reversed column.  An
+    # odd array's middle column is its own mirror, so its copy is dropped.
+    half = (m_count + 1) // 2
+    cols, ratio = lstsq_cutoff(
+        np.vstack([a, a[:, ::-1]]),
+        np.vstack([ec_samples[:, :half], ec_samples[:, ::-1][:, :half]]))
+    c = np.hstack([cols, cols[::-1, ::-1][:, 2 * half - m_count:]])
     if ratio < 1e-10:
         raise ValueError("angle set is degenerate for the reduced solve")
     return _estimate(c, a, ec_samples, ratio)

@@ -167,9 +167,9 @@ def test_criterion_14_catches_a_sweep_that_changes(monkeypatch):
 def test_each_surrogate_array_is_built_once_per_cold_run(monkeypatch):
     # criteria 4, 6 and 8 read one record per array: 18 arrays on the
     # full sphere plus criterion 8's normal-equations check, and the
-    # three H-plane arrays of criteria 5 and 13.  Every cache is cleared
-    # before each run, as the benchmark's cold runs do, so the second run
-    # must build them all again.
+    # four H-plane arrays of criteria 5 (M = 3, 4 and 8) and 13.  Every
+    # cache is cleared before each run, as the benchmark's cold runs do,
+    # so the second run must build them all again.
     original = surrogate.isolated_fields
     builds = []
 
@@ -182,7 +182,7 @@ def test_each_surrogate_array_is_built_once_per_cold_run(monkeypatch):
         _clear_caches()
         builds.clear()
         acceptance.run_all()
-        assert Counter(builds) == {"full_sphere": 19, "h_plane": 3}
+        assert Counter(builds) == {"full_sphere": 19, "h_plane": 4}
 
 
 def test_each_small_matrix_fixed_cost_is_paid_once_per_cold_run(monkeypatch):
@@ -238,10 +238,14 @@ def test_ring_grid_is_the_64x2_sphere_grid():
 
 
 def test_networks_and_dipole_z_match_one_array_at_a_time():
-    # the per-size sweeps give each array the bits it had on its own
+    # the per-size sweeps give each array the bits it had on its own, at
+    # every spacing of the sweep; these are the arrays whose C or Z a
+    # criterion reads
     _clear_caches()
-    for (element, m_count), spacings in acceptance._C_SPACINGS.items():
-        for d in spacings:
+    arrays = [("isotropic", m_count) for m_count in (2, 4, 8)] + \
+        [("ideal_dipole", m_count) for m_count in (2, 3, 4, 8)]
+    for element, m_count in arrays:
+        for d in acceptance.SWEEP_SPACINGS:
             geom = acceptance._geom(m_count, d, element)
             assert (acceptance._port_networks(element, m_count)[d].tobytes()
                     == impedance.port_impedance_for(geom).tobytes())

@@ -454,6 +454,21 @@ def test_estimate_c_from_measurements(tmp_path):
     assert_allclose(c.values, c_true.values, atol=1e-9)
 
 
+def test_estimate_c_from_measurements_at_half_the_angles_for_odd_m(tmp_path):
+    # M=3 needs ceil(3/2) = 2 azimuths, not 3
+    geom, _, es, ec, c_true = _dump_surrogate(tmp_path, m_count=3,
+                                              spacing=0.2)
+    directory = _write_measurements(tmp_path, geom, es, ec)
+    config = _write_config(tmp_path / "config.json",
+                           geometry=fileio.geometry_to_dict(geom))
+    out = tmp_path / "c.json"
+    assert cli.main(["estimate-c", "--measurements", str(directory),
+                     "--config", config, "--angles", "2",
+                     "--out", str(out)]) == 0
+    c = fileio.read_c_json(out)
+    assert_allclose(c.values, c_true.values, rtol=0.0, atol=1e-12)
+
+
 BOTH_SOURCES = ("error: estimate-c takes either --es and --ec or "
                 "--measurements, not both\n")
 

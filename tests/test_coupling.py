@@ -11,7 +11,8 @@ from superdir.geometry import (ArrayGeometry, hplane_grid, sphere_grid,
                                steering_matrix)
 from superdir.impedance import port_impedance_for, z_isotropic_closed
 from superdir.linalg import gated_solve, lstsq_cutoff, singular_ratio
-from superdir.surrogate import TerminationSpec, coupled_fields, isolated_fields
+from superdir.surrogate import (TerminationSpec, coupled_fields,
+                                coupling_truth, isolated_fields)
 
 
 def _surrogate_pair(m_count, spacing, grid):
@@ -73,12 +74,12 @@ def test_full_estimation_keeps_the_singular_ratio_of_e_s(element):
 
 @pytest.mark.parametrize("m_count", [4, 3])
 def test_reduced_estimation_keeps_the_singular_ratio(m_count):
-    # an even array solves its stacked column pairs, an odd one the cut
+    # every array solves its stacked column pairs, odd or even
     geom, _, _, c_true = _surrogate_pair(m_count, 0.3, hplane_grid(1.0))
     angles = default_reduced_angles(minimum_angles(m_count))
     a = steering_matrix(geom, np.full(len(angles), np.pi / 2), angles,
                         "in_plane")
-    design = np.vstack([a, a[:, ::-1]]) if m_count % 2 == 0 else a
+    design = np.vstack([a, a[:, ::-1]])
     c_red = estimate_c_reduced(a @ c_true.values, angles, geom)
     assert_allclose(c_red.singular_ratio, singular_ratio(design),
                     rtol=1e-12, atol=0.0)
@@ -118,10 +119,11 @@ def test_estimation_rejects_mismatched_grids():
 
 
 def test_minimum_angles_counting():
+    assert minimum_angles(1) == 1
     assert minimum_angles(4) == 2
     assert minimum_angles(8) == 4
-    assert minimum_angles(3) == 3
-    assert minimum_angles(7) == 7
+    assert minimum_angles(3) == 2
+    assert minimum_angles(7) == 4
 
 
 def test_default_reduced_angles_span():
@@ -147,15 +149,62 @@ def test_reduced_even_matches_full():
         assert c_red.residual < 1e-10
 
 
-def test_reduced_odd_needs_full_count():
+def test_reduced_odd_refuses_one_short_and_recovers_at_half():
+    # ceil(M/2) - 1 angles are refused, ceil(M/2) recover C
     grid = hplane_grid(1.0)
-    geom, _, _, c_true = _surrogate_pair(3, 0.3, grid)
-    with pytest.raises(ValueError):
-        angles = default_reduced_angles(2)
-        estimate_c_reduced(_samples_at(geom, c_true, angles), angles, geom)
-    angles = default_reduced_angles(3)
-    c_red = estimate_c_reduced(_samples_at(geom, c_true, angles), angles, geom)
-    assert_allclose(c_red.values, c_true.values, atol=1e-9)
+    for m_count in (3, 5):
+        geom, _, _, c_true = _surrogate_pair(m_count, 0.3, grid)
+        with pytest.raises(ValueError, match="insufficient angles"):
+            angles = default_reduced_angles(m_count // 2)
+            estimate_c_reduced(_samples_at(geom, c_true, angles), angles,
+                               geom)
+        angles = default_reduced_angles((m_count + 1) // 2)
+        c_red = estimate_c_reduced(_samples_at(geom, c_true, angles), angles,
+                                   geom)
+        assert_allclose(c_red.values, c_true.values, atol=1e-9)
+
+
+def _truth_and_angles(m_count, spacing, element):
+    """(geometry, ground-truth C, minimum_angles(M) default angles and
+    the in-plane steering rows at them) of one surrogate array."""
+    geom = ArrayGeometry(element_count=m_count, spacing=spacing,
+                         element=element)
+    c_true = coupling_truth(port_impedance_for(geom)).values
+    angles = default_reduced_angles(minimum_angles(m_count))
+    a = steering_matrix(geom, np.full(len(angles), np.pi / 2), angles,
+                        "in_plane")
+    return geom, c_true, angles, a
+
+
+@pytest.mark.parametrize("element", ["isotropic", "ideal_dipole"])
+@pytest.mark.parametrize("spacing", [0.1, 0.2, 0.3])
+@pytest.mark.parametrize("m_count", [3, 5, 7, 9])
+def test_reduced_odd_recovers_c_from_half_the_angles(m_count, spacing,
+                                                     element):
+    # the middle column is its own mirror, so ceil(M/2) angles suffice
+    geom, c_true, angles, a = _truth_and_angles(m_count, spacing, element)
+    assert len(angles) == (m_count + 1) // 2
+    c_red = estimate_c_reduced(a @ c_true, angles, geom)
+    gap = np.linalg.norm(c_red.values - c_true) / np.linalg.norm(c_true)
+    assert gap <= 1e-9
+
+
+@pytest.mark.parametrize("element", ["isotropic", "ideal_dipole"])
+@pytest.mark.parametrize("m_count", [2, 4, 8, 16])
+def test_reduced_even_keeps_the_stacked_pair_bits(m_count, element):
+    # even arrays solve the first M/2 columns and their mirrors in one
+    # stacked least squares, and reverse the solution for the rest
+    geom, c_true, angles, a = _truth_and_angles(m_count, 0.3, element)
+    samples = a @ c_true
+    half = m_count // 2
+    cols, ratio = lstsq_cutoff(
+        np.vstack([a, a[:, ::-1]]),
+        np.vstack([samples[:, :half], samples[:, ::-1][:, :half]]))
+    expected = np.hstack([cols, cols[::-1, ::-1]])
+    c_red = estimate_c_reduced(samples, angles, geom)
+    assert np.array_equal(c_red.values.view(np.int64),
+                          expected.view(np.int64))
+    assert c_red.singular_ratio == ratio
 
 
 def test_reduced_rejects_short_angle_set():
