@@ -52,17 +52,21 @@ def traditional_vector(z, e, tikhonov=None):
     return x / np.linalg.norm(x)
 
 
-def proposed_vector(c, z, e, tikhonov=None):
-    """Double-coupling synthesis b = C^-1 Z^-1 e*, unit-normalized."""
+def proposed_vector(c, z, e, tikhonov=None, c_condition=None):
+    """Double-coupling synthesis b = C^-1 Z^-1 e*, unit-normalized.
+    ``c_condition``, when given, is cond(C) taken earlier (a
+    ``CouplingMatrix.condition``) and stands in for a new one."""
     x = z.solve(np.conj(np.asarray(e, dtype=complex)), tikhonov)
     b, _ = gated_solve(c, x, tikhonov=tikhonov,
-                       context="coupling matrix")
+                       context="coupling matrix", condition=c_condition)
     return b / np.linalg.norm(b)
 
 
-def synthesize(method, z, e, c, tikhonov=None):
+def synthesize(method, z, e, c, tikhonov=None, c_condition=None):
     """Unit-norm excitation ``a`` of one method and the effective currents
-    w = C a it radiates, for the coupling matrix ``c`` as an (M, M) array.
+    w = C a it radiates, for the coupling matrix ``c`` as an (M, M) array
+    (and its condition number ``c_condition``, as ``proposed_vector``
+    takes it).
 
     ``theoretical`` is the traditional excitation on the uncoupled array
     (C = I) that the bound e^H Z^-1 e describes, so its ``w`` is ``a``.
@@ -72,7 +76,8 @@ def synthesize(method, z, e, c, tikhonov=None):
     elif method in ("traditional", "theoretical"):
         a = traditional_vector(z, e, tikhonov=tikhonov)
     elif method == "proposed":
-        a = proposed_vector(c, z, e, tikhonov=tikhonov)
+        a = proposed_vector(c, z, e, tikhonov=tikhonov,
+                            c_condition=c_condition)
     else:
         raise ValueError("unknown synthesis method %r" % (method,))
     return a, (a if method == "theoretical" else c @ a)
@@ -82,14 +87,22 @@ def directivity(w, e, z, r_loss=0.0):
     """Rayleigh-quotient directivity of the effective currents w = C b
     toward e; a normalized loss resistance ``r_loss`` adds the ohmic
     loss r_loss |w|^2 to the radiated power and gives the gain."""
-    if r_loss < 0.0:
+    return directivities(w, e, z, (r_loss,))[0]
+
+
+def directivities(w, e, z, r_losses):
+    """``directivity`` of w at each loss resistance of ``r_losses``, as
+    a list; they share |w^T e|^2, w^T Z w* and |w|^2, taken once."""
+    if any(r_loss < 0.0 for r_loss in r_losses):
         raise ValueError("loss resistance must be non-negative")
     e = np.asarray(e, dtype=complex)
-    denom = (_quadratic_form(w, z.values) +
-             r_loss * float(np.real(np.vdot(w, w)))) * z.self_power
-    if denom <= 0.0:
+    power = _quadratic_form(w, z.values)
+    norm = float(np.real(np.vdot(w, w)))
+    denoms = [(power + r_loss * norm) * z.self_power for r_loss in r_losses]
+    if any(denom <= 0.0 for denom in denoms):
         raise PowerError("non-positive radiated power; invalid impedance matrix")
-    return float(np.abs(np.dot(w, e)) ** 2 / denom)
+    beam = np.abs(np.dot(w, e)) ** 2
+    return [float(beam / denom) for denom in denoms]
 
 
 def max_directivity(z, e, tikhonov=None):

@@ -44,7 +44,8 @@ def cmd_pattern(args):
     root, ext = os.path.splitext(args.out)
     for method in config.methods:
         _, w = beamforming.synthesize(method, z, e, c_true.values,
-                                      tikhonov=args.regularize)
+                                      tikhonov=args.regularize,
+                                      c_condition=c_true.condition)
         power = np.abs(cut @ w) ** 2
         peak = power.max()
         if peak <= 0.0:

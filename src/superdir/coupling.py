@@ -114,7 +114,10 @@ def _estimate(c, design, samples, ratio):
 def default_reduced_angles(p):
     """P azimuth angles equally spaced over (0, 90] degrees, in radians.
 
-    Avoids phi = 0 and 180, whose sin(phi) phases collide.
+    Avoids phi = 0 and 180, whose sin(phi) phases collide.  The set
+    always holds 90 degrees, whose in-plane phase exp(jkd) is its own
+    conjugate at d = 0.5, so there ``estimate_c_reduced`` refuses an
+    even M at P = M/2 and needs one more angle.
     """
     if p < 1:
         raise ValueError("need at least one angle")
@@ -157,7 +160,14 @@ def estimate_c_reduced(ec_samples, angles_phi, geom):
         np.vstack([ec_samples[:, :half], ec_samples[:, ::-1][:, :half]]))
     c = np.hstack([cols, cols[::-1, ::-1][:, 2 * half - m_count:]])
     if ratio < 1e-10:
-        raise ValueError("angle set is degenerate for the reduced solve")
+        # Row p of the stacked matrix holds the powers of the node
+        # exp(jkd sin(phi_p)), and its mirrored row, up to one phase, those
+        # of the conjugate node: M unknowns need M of these 2P distinct.
+        raise ValueError(
+            "angle set is degenerate for the reduced solve (singular value "
+            "ratio %.3e below 1e-10): the phases exp(jkd sin(phi)) of P = %d "
+            "angles and their conjugates are not 2P = %d distinct nodes; "
+            "one more angle, or other angles, fixes it" % (ratio, p, 2 * p))
     return _estimate(c, a, ec_samples, ratio)
 
 

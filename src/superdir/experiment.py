@@ -141,20 +141,27 @@ def _cut(config):
 
 def arrays(config, spacings):
     """Yield (geometry, Z, steering vector, ground-truth C as a
-    CouplingMatrix, cut matrix) of the configured array at each spacing."""
+    CouplingMatrix, cut matrix) of the configured array at each spacing.
+    Every spacing's Z and C are built and checked before the first is
+    yielded, so a spacing that fails either raises before any row."""
     orientation, cut_theta, cut_phi, _ = _cut(config)
     grid = sphere_grid(config.n_theta, config.n_phi)
     networks = impedance.port_impedance_sweep(config.geometry, spacings)
     zs = impedance.z_full_sweep(config.geometry, grid, spacings, orientation)
-    for d, z, zc in zip(spacings, zs, networks):
+    c_trues = surrogate.coupling_truth_sweep(networks)
+    for d, z, c_true in zip(spacings, zs, c_trues):
         geom = replace(config.geometry, spacing=float(d))
         e = steering_vector(geom, config.steer, orientation)
-        c_true = surrogate.coupling_truth(zc)
         cut = steering_matrix(geom, cut_theta, cut_phi, orientation)
         yield geom, z, e, c_true, cut
 
 
 def sweep_rows(config, tikhonov=None):
+    """One row of metrics per spacing and method.  At each spacing, each
+    method's excitation, its directivity and gain and its cut field are
+    computed once; the theoretical row is the traditional excitation
+    radiating as it is (w = a), so it reuses them, and its pattern
+    deviation is the floor."""
     r_loss = beamforming.loss_resistance(config.efficiency)
     psi_deg = hplane_degrees(config.h_plane_step_deg)
     steer_deg = _cut(config)[3]
@@ -164,21 +171,30 @@ def sweep_rows(config, tikhonov=None):
         cond_z = z.condition
         cond_c = float(c_true.condition)
         d_max = beamforming.max_directivity(z, e, tikhonov=tikhonov)
+        excited = {}
         for method in config.methods:
-            a, w = beamforming.synthesize(method, z, e, c_true.values,
-                                          tikhonov=tikhonov)
-            d_w = beamforming.directivity(w, e, z)
-            direct = d_max if method == "theoretical" else d_w
-            g = beamforming.directivity(w, e, z, r_loss)
-            dd = beamforming.directivity(a, e, z) - d_w
-            field_ac = cut @ w
-            df = beamforming.delta_f_from_patterns(cut @ a, field_ac)
-            power = np.abs(field_ac) ** 2
-            metrics = beamforming.pattern_metrics(power, psi_deg, steer_deg)
+            base = "traditional" if method == "theoretical" else method
+            if base not in excited:
+                a, w = beamforming.synthesize(base, z, e, c_true.values,
+                                              tikhonov=tikhonov,
+                                              c_condition=c_true.condition)
+                excited[base] = (w, beamforming.directivities(
+                    a, e, z, (0.0, r_loss)), cut @ a)
+            w, (d_a, g_a), field_a = excited[base]
+            if method == "theoretical":
+                direct, g, d_w = d_max, g_a, d_a
+                field_w, df = field_a, beamforming.DELTA_F_FLOOR_DB
+            else:
+                d_w, g = beamforming.directivities(w, e, z, (0.0, r_loss))
+                direct = d_w
+                field_w = cut @ w
+                df = beamforming.delta_f_from_patterns(field_a, field_w)
+            metrics = beamforming.pattern_metrics(np.abs(field_w) ** 2,
+                                                  psi_deg, steer_deg)
             rows.append({"spacing_wl": geom.spacing, "method": method,
                          "directivity": direct, "gain": g,
                          "beamwidth_deg": metrics.beamwidth_3db_deg,
                          "psll_db": metrics.psll_db,
-                         "delta_d": dd, "delta_f_db": df,
+                         "delta_d": d_a - d_w, "delta_f_db": df,
                          "condition_z": cond_z, "condition_c": cond_c})
     return rows

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import K, gain_arrays, phase_argument
-from .linalg import _allclose, condition_number, gated_solve
+from .linalg import _allclose, _leading, condition_number, gated_solve
 
 # Half-wave dipole self impedance in ohms, the standard textbook figure.
 HALFWAVE_SELF_IMPEDANCE = 73.08 + 42.21j
@@ -76,14 +76,27 @@ class ImpedanceMatrix:
         return self._solves[key]
 
     def validate(self):
-        z = self.values
-        if not _allclose(z, z.T, 1e-12):
-            raise ValueError("impedance matrix must be symmetric")
-        if not _allclose(np.diag(z), 1.0, 1e-12):
-            raise ValueError("normalized impedance matrix needs a unit diagonal")
-        if np.linalg.eigvalsh(z).min() < -1e-9:
-            raise ValueError("impedance matrix is not positive semi-definite")
+        _validate(self.values[None])
         return self
+
+
+def _validate(stack):
+    """``ImpedanceMatrix.validate``'s checks on each matrix of the
+    (N, M, M) ``stack``, with one stacked ``eigvalsh``: the first matrix
+    that fails one raises its error, each matrix's checks taken in
+    order (symmetric, unit diagonal, positive semi-definite)."""
+    symmetric = _allclose(stack, stack.swapaxes(-1, -2), 1e-12,
+                          axis=(-2, -1))
+    unit = _allclose(np.diagonal(stack, axis1=-2, axis2=-1), 1.0, 1e-12,
+                     axis=-1)
+    shaped = _leading(symmetric & unit)
+    if _leading(np.linalg.eigvalsh(stack[:shaped]).min(axis=-1) >= -1e-9) \
+            < shaped:
+        raise ValueError("impedance matrix is not positive semi-definite")
+    if shaped < len(stack):
+        if not symmetric[shaped]:
+            raise ValueError("impedance matrix must be symmetric")
+        raise ValueError("normalized impedance matrix needs a unit diagonal")
 
 
 def _normalize(raw):
@@ -145,7 +158,11 @@ def z_full_sweep(geom, grid, spacings, orientation="axial"):
     weighted power and the direction cosines are computed once for all
     spacings.  The axial cosine cos(theta) is one value per theta ring,
     so there each spacing's phasors are evaluated per ring and gathered
-    to the points (``AngularGrid.row_points``).
+    to the points (``AngularGrid.row_points``).  Every matrix is checked
+    as ``ImpedanceMatrix.validate`` checks it, and its condition number
+    taken, by one stacked LAPACK call each; a spacing that fails raises
+    what building and checking the spacings one at a time would raise
+    first.
     """
     if grid.kind != "full_sphere":
         raise ValueError("z_full requires a full-sphere grid")
@@ -153,13 +170,25 @@ def z_full_sweep(geom, grid, spacings, orientation="axial"):
     power = np.abs(g_theta) ** 2 * grid.weight / (4.0 * np.pi)
     theta, phi, gather = grid.row_points(orientation)
     u = phase_argument(theta, phi, orientation)
-    matrices = []
+    m_count = geom.element_count
+    values, powers, failure = [], [], None
     for d in spacings:
-        at = replace(geom, spacing=float(d))  # ArrayGeometry's checks
-        col = _lag_column(power, K * at.spacing * u, at.element_count,
-                          gather)
-        matrices.append(ImpedanceMatrix(values=_normalize(_toeplitz(col)),
-                                        self_power=float(col[0])).validate())
+        try:
+            at = replace(geom, spacing=float(d))  # ArrayGeometry's checks
+            col = _lag_column(power, K * at.spacing * u, m_count, gather)
+            values.append(_normalize(_toeplitz(col)))
+        except ValueError as exc:  # raised once the spacings before pass
+            failure = exc
+            break
+        powers.append(float(col[0]))
+    stack = np.array(values).reshape(len(values), m_count, m_count)
+    _validate(stack)
+    if failure is not None:
+        raise failure
+    matrices = [ImpedanceMatrix(values=z, self_power=p)
+                for z, p in zip(stack, powers)]
+    for z, cond in zip(matrices, condition_number(stack).tolist()):
+        vars(z)["condition"] = cond  # where the cached_property keeps it
     return matrices
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .coupling import CouplingMatrix, FieldMatrix
 from .geometry import default_orientation, steering_matrix
 from .impedance import HALFWAVE_SELF_IMPEDANCE
-from .linalg import condition_number, gated_solve
+from .linalg import condition_number, gate_sweep
 
 
 @dataclass(frozen=True)
@@ -48,22 +48,37 @@ def couple(es, c):
     return FieldMatrix(values=es.values @ c, grid=es.grid)
 
 
-def coupling_truth(zc, term=TerminationSpec()):
-    """Ground-truth coupling matrix of the terminated port network.
+def coupling_truth_sweep(networks, term=TerminationSpec()):
+    """Ground-truth coupling matrix of each terminated port network, as
+    a list.
 
-    ``zc`` is the complex (M, M) port network.  Exciting port m with a
-    unit source while the others are loaded with Z_L induces currents
-    (Z_c + Z_L I)^-1 applied column by column; the current matrix scaled
-    to unit mean diagonal is C_true.
+    ``networks`` is a sequence of complex (M, M) port networks.
+    Exciting port m with a unit source while the others are loaded with
+    Z_L induces currents (Z_c + Z_L I)^-1 applied column by column; the
+    current matrix scaled to unit mean diagonal is C_true.  The gate's
+    SVDs, the solves and cond(C) are one stacked LAPACK call each, and a
+    network that fails a check raises what solving the networks one at
+    a time through ``linalg.gated_solve`` would raise first.
     """
-    a = zc + term.load * np.eye(len(zc))
-    currents, _ = gated_solve(a, np.eye(len(zc), dtype=complex),
-                              context="terminated port network")
-    scale = np.mean(np.diag(currents))
-    if scale == 0.0:
+    networks = np.asarray(networks)
+    m_count = networks.shape[-1]
+    a = networks + term.load * np.eye(m_count)
+    conditions, refusal = gate_sweep(a, context="terminated port network")
+    currents = np.linalg.solve(a[:len(conditions)],
+                               np.eye(m_count, dtype=complex))
+    scale = np.diagonal(currents, axis1=-2, axis2=-1).mean(axis=-1)
+    if (scale == 0.0).any():
         raise ValueError("degenerate port network: zero mean diagonal current")
-    c = currents / scale
-    return CouplingMatrix(values=c, condition=condition_number(c))
+    if refusal is not None:
+        raise refusal
+    c = currents / scale[:, None, None]
+    return [CouplingMatrix(values=values, condition=cond)
+            for values, cond in zip(c, condition_number(c).tolist())]
+
+
+def coupling_truth(zc, term=TerminationSpec()):
+    """``coupling_truth_sweep`` of the one (M, M) port network ``zc``."""
+    return coupling_truth_sweep([zc], term)[0]
 
 
 def coupled_fields(geom, grid, zc, term=TerminationSpec()):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from superdir import (cli, coupling, experiment, fileio, impedance, linalg,
-                      surrogate)
+from superdir import (beamforming, cli, coupling, experiment, fileio,
+                      impedance, linalg, surrogate)
 from superdir.experiment import ExperimentConfig
 from superdir.coupling import PatternMeasurement
 from superdir.fileio import ValidationError
@@ -80,7 +80,9 @@ def test_sweep_takes_one_condition_and_one_z_solve_per_spacing(
     original_solve = linalg.gated_solve
 
     def counted_condition(a):
-        conditions.append(np.isrealobj(a))  # Z is real; C and Z_c are not
+        # Z is real; C and Z_c are not.  A stack counts each of its matrices.
+        conditions.extend([np.isrealobj(a)] * (len(a) if np.ndim(a) == 3
+                                               else 1))
         return original_condition(a)
 
     def counted_solve(a, b, **kwargs):
@@ -112,6 +114,40 @@ def test_sweep_builds_the_grid_arrays_once(tmp_path, monkeypatch):
     rows = experiment.sweep_rows(config, tikhonov=1e-12)
     assert len(rows) == 4 * 50
     assert calls == {"gain_arrays": 1, "phase_argument": 1}
+
+
+def test_sweep_takes_at_most_three_svds_and_cond_c_once_per_spacing(
+        tmp_path, monkeypatch):
+    # Z, Z_c + Z_L and C are each conditioned by one stacked SVD for the
+    # whole sweep, and the proposed solve reads cond(C) from C_true
+    stacks, c_conditions = [], []
+    original_svd = np.linalg.svd
+    original_solve = beamforming.gated_solve
+
+    def counted_svd(a, *args, **kwargs):
+        stacks.append(np.shape(a))
+        return original_svd(a, *args, **kwargs)
+
+    def counted_solve(a, b, **kwargs):
+        if kwargs.get("context") == "coupling matrix":
+            c_conditions.append(kwargs.get("condition"))
+        return original_solve(a, b, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(beamforming, "gated_solve", counted_solve)
+    config = ExperimentConfig.from_file(_write_config(
+        tmp_path / "c.json",
+        geometry={"elements": 16, "spacing_wl": 0.1,
+                  "element": "ideal_dipole", "steer_theta_deg": 90.0,
+                  "steer_phi_deg": 75.0},
+        sweep={"d_min": 0.05, "d_max": 0.5, "steps": 50},
+        grid={"n_theta": 64, "n_phi": 128, "h_plane_step_deg": 1.0}))
+    rows = experiment.sweep_rows(config, tikhonov=1e-12)
+    assert len(rows) == 4 * 50
+    assert stacks == [(50, 16, 16)] * 3
+    proposed = [row["condition_c"] for row in rows
+                if row["method"] == "proposed"]
+    assert c_conditions == proposed
 
 
 @pytest.mark.parametrize("methods", [[], ["mrt", "mrt"]],

@@ -233,6 +233,28 @@ def test_reduced_names_a_degenerate_angle_set(m_count):
         estimate_c_reduced(_samples_at(geom, c_true, angles), angles, geom)
 
 
+def test_reduced_refusal_at_the_half_wave_spacing_says_what_fixes_it():
+    # default_reduced_angles holds 90 deg, whose phase exp(jkd) is its own
+    # conjugate at d = 0.5: M=4 at P = M/2 is refused, and one more angle
+    # recovers C
+    geom, _, _, c_true = _surrogate_pair(4, 0.5, hplane_grid(1.0))
+    angles = default_reduced_angles(minimum_angles(4))
+    with pytest.raises(ValueError) as refused:
+        estimate_c_reduced(_samples_at(geom, c_true, angles), angles, geom)
+    message = str(refused.value)
+    assert message.startswith("angle set is degenerate for the reduced "
+                              "solve (singular value ratio ")
+    assert message.endswith(
+        "below 1e-10): the phases exp(jkd sin(phi)) of P = 2 angles and "
+        "their conjugates are not 2P = 4 distinct nodes; one more angle, "
+        "or other angles, fixes it")
+    angles = default_reduced_angles(minimum_angles(4) + 1)
+    c_red = estimate_c_reduced(_samples_at(geom, c_true, angles), angles,
+                               geom)
+    assert_allclose(c_red.values, c_true.values, rtol=0,
+                    atol=1e-13 * np.abs(c_true.values).max())
+
+
 def test_reduced_shape_checks():
     geom = ArrayGeometry(element_count=4, spacing=0.3,
                          element="ideal_dipole")

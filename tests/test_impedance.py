@@ -9,7 +9,7 @@ from scipy.special import j0
 
 from superdir.geometry import (K, ArrayGeometry, gain_arrays, hplane_grid,
                                phase_argument, sphere_grid)
-from superdir import impedance, linalg
+from superdir import cli, fileio, impedance, linalg
 from superdir.impedance import (HALFWAVE_SELF_IMPEDANCE, ImpedanceMatrix,
                                 mutual_impedance_emf, port_impedance_for,
                                 port_impedance_sweep, sici,
@@ -184,6 +184,97 @@ def test_z_full_sweep_refuses_what_z_full_refuses():
         with pytest.raises(ValueError) as per_sweep:
             z_full_sweep(geom, grid, [0.2, bad])
         assert str(per_sweep.value) == str(per_geometry.value)
+
+
+@pytest.mark.parametrize("element", ["isotropic", "ideal_dipole"])
+@pytest.mark.parametrize("orientation", ["axial", "in_plane"])
+def test_z_full_sweep_checks_and_conditions_match_one_matrix_at_a_time(
+        element, orientation):
+    # one stacked eigvalsh checks them and one stacked SVD conditions them
+    grid = sphere_grid(32, 64)
+    for m_count in (1, 2, 8, 16):
+        geom = ArrayGeometry(m_count, 0.3, element)
+        for z in z_full_sweep(geom, grid, SPACINGS, orientation):
+            alone = ImpedanceMatrix(values=z.values, self_power=z.self_power)
+            assert alone.validate() is alone
+            assert type(z.condition) is float
+            assert (np.float64(z.condition).view(np.int64) ==
+                    np.float64(alone.condition).view(np.int64) ==
+                    np.float64(np.linalg.cond(z.values)).view(np.int64))
+
+
+# Ways to break the matrix _normalize returns, and the message of the
+# ImpedanceMatrix.validate check each one fails.
+Z_FAULTS = {
+    "asymmetric": (lambda z: z + np.triu(np.full_like(z, 1e-3), 1),
+                   "impedance matrix must be symmetric"),
+    "diagonal": (lambda z: z + 1e-3 * np.eye(len(z)),
+                 "normalized impedance matrix needs a unit diagonal"),
+    "indefinite": (lambda z: np.where(np.eye(len(z), dtype=bool), 1.0, 2.0),
+                   "impedance matrix is not positive semi-definite"),
+}
+
+
+def _break_normalize(monkeypatch, faults):
+    """Make the k-th ``_normalize`` call return its matrix broken by
+    ``Z_FAULTS[faults[k]]``."""
+    original = impedance._normalize
+    calls = []
+
+    def broken(raw):
+        z = original(raw)
+        calls.append(None)
+        fault = faults.get(len(calls) - 1)
+        return z if fault is None else Z_FAULTS[fault][0](z)
+
+    monkeypatch.setattr(impedance, "_normalize", broken)
+
+
+@pytest.mark.parametrize("later", [None, "spacing"] + sorted(Z_FAULTS))
+@pytest.mark.parametrize("first", ["spacing"] + sorted(Z_FAULTS))
+def test_z_full_sweep_raises_for_the_first_failing_spacing(monkeypatch, first,
+                                                           later):
+    # each spacing's checks in validate's order, spacing by spacing, as
+    # building and checking one Z at a time raises them
+    spacings = list(SPACINGS)
+    faults = {17: first}
+    if later is not None:
+        faults[31] = later
+    for index, fault in faults.items():
+        if fault == "spacing":
+            spacings[index] = -0.1
+    _break_normalize(monkeypatch, faults)
+    if first == "spacing":
+        with pytest.raises(ValueError) as expected:
+            ArrayGeometry(4, -0.1)
+        message = str(expected.value)
+    else:
+        message = Z_FAULTS[first][1]
+        with pytest.raises(ValueError, match="^%s$" % message):
+            ImpedanceMatrix(values=Z_FAULTS[first][0](np.eye(4))).validate()
+    with pytest.raises(ValueError) as raised:
+        z_full_sweep(ArrayGeometry(4, 0.1), sphere_grid(16, 32), spacings)
+    assert str(raised.value) == message
+
+
+def test_sweep_exits_1_for_an_indefinite_z(tmp_path, capsys, monkeypatch):
+    # a bad Z is a validation error, with --regularize or without
+    config = tmp_path / "config.json"
+    fileio.write_json(str(config), {
+        "geometry": {"elements": 4, "spacing_wl": 0.3,
+                     "element": "isotropic", "steer_theta_deg": 0.0,
+                     "steer_phi_deg": 0.0},
+        "sweep": {"d_min": 0.1, "d_max": 0.5, "steps": 5},
+        "grid": {"n_theta": 16, "n_phi": 32}})
+    for flags in ([], ["--regularize", "1e-12"]):
+        _break_normalize(monkeypatch, {2: "indefinite"})
+        capsys.readouterr()
+        assert cli.main(["sweep", "--config", str(config), "--out",
+                         str(tmp_path / "x.csv")] + flags) == 1
+        assert capsys.readouterr().err == (
+            "error: %s: impedance matrix is not positive semi-definite\n" %
+            (config,))
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_z_hplane_matches_gemm_reference():

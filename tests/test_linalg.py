@@ -164,3 +164,18 @@ def test_condition_number_keeps_nan_only_for_a_nan_matrix(monkeypatch):
                         lambda a, compute_uv: np.array([np.nan, np.nan]))
     assert np.isnan(condition_number(np.array([[1.0, np.nan], [0.0, 1.0]])))
     assert condition_number(np.eye(2)) == np.inf
+
+
+def test_condition_number_of_a_stack_is_each_matrix_own():
+    # one stacked SVD, bit-equal per matrix, with the inf rule per matrix
+    rng = np.random.default_rng(7)
+    stack = (rng.standard_normal((6, 5, 5)) +
+             1j * rng.standard_normal((6, 5, 5)))
+    stack[2] = 0.0
+    stack[4, :, 0] = 0.0
+    got = _no_warnings(condition_number, stack)
+    assert got.shape == (6,)
+    assert got[2] == np.inf
+    for a, cond in zip(stack, got):
+        assert (np.float64(cond).view(np.int64) ==
+                np.float64(condition_number(a)).view(np.int64))

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from superdir import fileio, surrogate
+from superdir import cli, fileio, impedance, surrogate
 from superdir.geometry import (K, ArrayGeometry, Direction, gain_arrays,
                                hplane_grid, sphere_grid, steering_vector)
-from superdir.impedance import HALFWAVE_SELF_IMPEDANCE, port_impedance_for
+from superdir.impedance import (HALFWAVE_SELF_IMPEDANCE, port_impedance_for,
+                                port_impedance_sweep)
 from superdir.coupling import FieldMatrix
-from superdir.linalg import singular_ratio
+from superdir.linalg import (ConditionGateError, condition_number,
+                             gated_solve, singular_ratio)
 from superdir.surrogate import (TerminationSpec, couple, coupled_fields,
-                                coupling_truth, isolated_fields)
+                                coupling_truth, coupling_truth_sweep,
+                                isolated_fields)
 
 NEGATIVE_ZERO_CELL = re.compile(r"(^|,)-0(,|$)", re.MULTILINE)
 
@@ -36,6 +39,117 @@ def test_terminated_port_network_stays_far_from_the_gate(element, m_count,
     zc = port_impedance_for(ArrayGeometry(m_count, spacing, element))
     loaded = zc + TerminationSpec().load * np.eye(m_count)
     assert np.linalg.cond(loaded) < 1e3
+
+
+def _coupling_truth_one(zc, term=TerminationSpec()):
+    """(C, cond(C)) of one port network as ``coupling_truth`` computed
+    them before the sweep: a gated solve, the mean of the diagonal and an
+    SVD of C, each on its own."""
+    a = zc + term.load * np.eye(len(zc))
+    currents, _ = gated_solve(a, np.eye(len(zc), dtype=complex),
+                              context="terminated port network")
+    scale = np.mean(np.diag(currents))
+    if scale == 0.0:
+        raise ValueError("degenerate port network: zero mean diagonal current")
+    c = currents / scale
+    return c, condition_number(c)
+
+
+SWEEP_SPACINGS = np.linspace(0.05, 0.5, 50)
+
+
+@pytest.mark.parametrize("element", ["isotropic", "ideal_dipole"])
+@pytest.mark.parametrize("m_count", [1, 2, 8, 16])
+def test_coupling_truth_sweep_matches_one_network_at_a_time(element,
+                                                            m_count):
+    networks = port_impedance_sweep(ArrayGeometry(m_count, 0.1, element),
+                                    SWEEP_SPACINGS)
+    swept = coupling_truth_sweep(networks)
+    assert len(swept) == len(SWEEP_SPACINGS)
+    for zc, truth in zip(networks, swept):
+        c, cond = _coupling_truth_one(zc)
+        for got in (truth, coupling_truth(zc)):
+            assert np.array_equal(got.values.view(np.int64),
+                                  c.view(np.int64))
+            assert (np.float64(got.condition).view(np.int64) ==
+                    np.float64(cond).view(np.int64))
+            assert type(got.condition) is float
+
+
+def _first_error(networks):
+    """(type, message) of the first error that solving ``networks`` one
+    at a time raises, or None."""
+    for zc in networks:
+        try:
+            _coupling_truth_one(zc)
+        except (ValueError, ConditionGateError) as exc:
+            return type(exc), str(exc)
+    return None
+
+
+LOAD = TerminationSpec().load
+# Port networks of an even size whose Z_c + Z_L I is the matrix named:
+# one whose entries are not finite, a rank-one matrix past the gate, and
+# blocks [[0, 1], [1, 0]] on the diagonal, their own inverse, whose
+# diagonal currents are zero.
+BAD_NETWORKS = {
+    "non-finite": lambda m: np.full((m, m), np.nan + 0j),
+    "gated": lambda m: np.ones((m, m)) - LOAD * np.eye(m),
+    "zero-current": lambda m: np.kron(np.eye(m // 2), [[0, 1], [1, 0]])
+    - LOAD * np.eye(m),
+}
+
+
+@pytest.mark.parametrize("later", [None] + sorted(BAD_NETWORKS))
+@pytest.mark.parametrize("first", sorted(BAD_NETWORKS))
+def test_coupling_truth_sweep_raises_for_the_first_failing_network(first,
+                                                                   later):
+    # what a loop of one-network solves raises first, the gate's order
+    # (entries, then the gate) and the zero-current check included
+    m_count = 4
+    networks = port_impedance_sweep(ArrayGeometry(m_count, 0.1),
+                                    SWEEP_SPACINGS)
+    networks[17] = BAD_NETWORKS[first](m_count)
+    if later is not None:
+        networks[31] = BAD_NETWORKS[later](m_count)
+    expected = _first_error(networks)
+    assert expected is not None and expected[0] is (
+        ConditionGateError if first == "gated" else ValueError)
+    with pytest.raises(expected[0]) as raised:
+        coupling_truth_sweep(networks)
+    assert str(raised.value) == expected[1]
+    with pytest.raises(expected[0]) as alone:
+        coupling_truth(networks[17])
+    assert str(alone.value) == expected[1]
+
+
+@pytest.mark.parametrize("bad, code, message", [
+    ("gated", 2, "terminated port network has condition number"),
+    ("non-finite", 1, "array must not contain infs or NaNs")])
+def test_sweep_exit_code_of_a_failing_port_network(tmp_path, capsys,
+                                                   monkeypatch, bad, code,
+                                                   message):
+    # a network past the gate exits 2 and one with a NaN exits 1, with
+    # --regularize or without: the port-network solve takes no Tikhonov
+    def broken(geom, spacings):
+        networks = port_impedance_sweep(geom, spacings)
+        networks[2] = BAD_NETWORKS[bad](geom.element_count)
+        return networks
+
+    monkeypatch.setattr(impedance, "port_impedance_sweep", broken)
+    config = tmp_path / "config.json"
+    fileio.write_json(str(config), {
+        "geometry": {"elements": 4, "spacing_wl": 0.3,
+                     "element": "ideal_dipole", "steer_theta_deg": 90.0,
+                     "steer_phi_deg": 90.0},
+        "sweep": {"d_min": 0.1, "d_max": 0.5, "steps": 5},
+        "grid": {"n_theta": 16, "n_phi": 32}})
+    for flags in ([], ["--regularize", "1e-12"]):
+        capsys.readouterr()
+        assert cli.main(["sweep", "--config", str(config), "--out",
+                         str(tmp_path / "x.csv")] + flags) == code
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_isolated_fields_shape_and_rows():
