@@ -90,19 +90,20 @@ def _geom(m_count, spacing, element):
 
 
 @lru_cache(maxsize=None)
-def _port_networks(element, m_count):
-    """{spacing: port network} of the M-element array at each of the
-    ``SWEEP_SPACINGS``, from one ``port_impedance_sweep``: an EMF network
-    is elementwise in its arguments, so each keeps its bits."""
-    return dict(zip(SWEEP_SPACINGS, impedance.port_impedance_sweep(
-        _geom(m_count, SWEEP_SPACINGS[0], element), SWEEP_SPACINGS)))
+def _c_trues(element, m_count):
+    """{spacing: ground-truth C as an (M, M) array} of the M-element
+    array at each of the ``SWEEP_SPACINGS``, from one
+    ``port_impedance_sweep`` and one ``coupling_truth_sweep``: each C
+    keeps the bits of a ``coupling_truth`` of its own network."""
+    networks = impedance.port_impedance_sweep(
+        _geom(m_count, SWEEP_SPACINGS[0], element), SWEEP_SPACINGS)
+    return {d: c_true.values for d, c_true in
+            zip(SWEEP_SPACINGS, surrogate.coupling_truth_sweep(networks))}
 
 
-@lru_cache(maxsize=None)
 def _c_true(geom):
     """Ground-truth C of ``geom`` as an (M, M) array."""
-    networks = _port_networks(geom.element, geom.element_count)
-    return surrogate.coupling_truth(networks[geom.spacing]).values
+    return _c_trues(geom.element, geom.element_count)[geom.spacing]
 
 
 def _fields(m_count, spacing, element, grid):

@@ -229,9 +229,11 @@ def pattern_metrics(power, angles_deg, steer_deg):
         # the main lobe runs right from left_min through the peak to
         # right_min, across the +-180 degree seam when left_min > right_min;
         # it never fills the circle: its ends would be neighbours, each
-        # strictly below the other
-        lobe = np.arange(left_min, left_min + (right_min - left_min) % n + 1)
-        highest = np.delete(power, lobe % n).max()
+        # strictly below the other.  The samples outside it are the one
+        # slice between its ends, or the slices after and before it.
+        outside = ((power[right_min + 1:left_min],) if left_min > right_min
+                   else (power[right_min + 1:], power[:left_min]))
+        highest = np.max([part.max() for part in outside if part.size])
         psll = (DELTA_F_FLOOR_DB if highest <= 0.0 else
                 min(float(10.0 * np.log10(highest / peak)), 0.0))
     return PatternMetrics(beamwidth_3db_deg=beamwidth, psll_db=psll)

@@ -5,7 +5,6 @@ round-trip losslessly through these parsers and repeated runs are
 byte-identical.
 """
 
-import csv
 import json
 import os
 
@@ -17,10 +16,6 @@ from .geometry import ArrayGeometry, Direction, hplane_grid, sphere_grid
 
 class ValidationError(ValueError):
     """Input file or configuration rejected; maps to CLI exit code 1."""
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
 
 
 def read_json(path):
@@ -371,12 +366,15 @@ SWEEP_COLUMNS = ["spacing_wl", "method", "directivity", "gain",
 
 def write_sweep_csv(path, rows):
     """Rows are dicts keyed by SWEEP_COLUMNS; method stays a string."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([row[col] if col == "method" else _fmt(row[col])
-                             for col in SWEEP_COLUMNS])
+    # Each row's method text goes in beforehand, leaving a %.17g slot
+    # per number.
+    template = ",".join("{}" if col == "method" else "%.17g"
+                        for col in SWEEP_COLUMNS) + "\r\n"
+    text = "".join(template.format(row["method"].replace("%", "%%"))
+                   for row in rows)
+    _write_table(path, SWEEP_COLUMNS,
+                 [[row[col] for row in rows]
+                  for col in SWEEP_COLUMNS if col != "method"], text)
 
 
 def write_pattern_csv(path, phi_deg, power_db):

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import K, gain_arrays, phase_argument
-from .linalg import _allclose, _leading, condition_number, gated_solve
+from .linalg import _allclose, condition_number, gated_solve
 
 # Half-wave dipole self impedance in ohms, the standard textbook figure.
 HALFWAVE_SELF_IMPEDANCE = 73.08 + 42.21j
@@ -81,22 +81,15 @@ class ImpedanceMatrix:
 
 
 def _validate(stack):
-    """``ImpedanceMatrix.validate``'s checks on each matrix of the
-    (N, M, M) ``stack``, with one stacked ``eigvalsh``: the first matrix
-    that fails one raises its error, each matrix's checks taken in
-    order (symmetric, unit diagonal, positive semi-definite)."""
-    symmetric = _allclose(stack, stack.swapaxes(-1, -2), 1e-12,
-                          axis=(-2, -1))
-    unit = _allclose(np.diagonal(stack, axis1=-2, axis2=-1), 1.0, 1e-12,
-                     axis=-1)
-    shaped = _leading(symmetric & unit)
-    if _leading(np.linalg.eigvalsh(stack[:shaped]).min(axis=-1) >= -1e-9) \
-            < shaped:
-        raise ValueError("impedance matrix is not positive semi-definite")
-    if shaped < len(stack):
-        if not symmetric[shaped]:
-            raise ValueError("impedance matrix must be symmetric")
+    """``ImpedanceMatrix.validate``'s checks over the whole (N, M, M)
+    ``stack``, each on every matrix before the next: symmetric, unit
+    diagonal, then positive semi-definite from one stacked ``eigvalsh``."""
+    if not _allclose(stack, stack.swapaxes(-1, -2), 1e-12):
+        raise ValueError("impedance matrix must be symmetric")
+    if not _allclose(np.diagonal(stack, axis1=-2, axis2=-1), 1.0, 1e-12):
         raise ValueError("normalized impedance matrix needs a unit diagonal")
+    if not (np.linalg.eigvalsh(stack).min(axis=-1) >= -1e-9).all():
+        raise ValueError("impedance matrix is not positive semi-definite")
 
 
 def _normalize(raw):
@@ -158,35 +151,27 @@ def z_full_sweep(geom, grid, spacings, orientation="axial"):
     weighted power and the direction cosines are computed once for all
     spacings.  The axial cosine cos(theta) is one value per theta ring,
     so there each spacing's phasors are evaluated per ring and gathered
-    to the points (``AngularGrid.row_points``).  Every matrix is checked
-    as ``ImpedanceMatrix.validate`` checks it, and its condition number
-    taken, by one stacked LAPACK call each; a spacing that fails raises
-    what building and checking the spacings one at a time would raise
-    first.
+    to the points (``AngularGrid.row_points``).  The sweep is refused
+    in check order: every spacing through ``ArrayGeometry`` before any Z
+    is built, then each of ``ImpedanceMatrix.validate``'s checks over
+    every Z, by one stacked ``eigvalsh``.  The condition numbers come
+    from one stacked SVD.
     """
     if grid.kind != "full_sphere":
         raise ValueError("z_full requires a full-sphere grid")
+    geoms = [replace(geom, spacing=float(d)) for d in spacings]
     g_theta = gain_arrays(geom.element, grid.theta, grid.phi)
     power = np.abs(g_theta) ** 2 * grid.weight / (4.0 * np.pi)
     theta, phi, gather = grid.row_points(orientation)
     u = phase_argument(theta, phi, orientation)
     m_count = geom.element_count
-    values, powers, failure = [], [], None
-    for d in spacings:
-        try:
-            at = replace(geom, spacing=float(d))  # ArrayGeometry's checks
-            col = _lag_column(power, K * at.spacing * u, m_count, gather)
-            values.append(_normalize(_toeplitz(col)))
-        except ValueError as exc:  # raised once the spacings before pass
-            failure = exc
-            break
-        powers.append(float(col[0]))
-    stack = np.array(values).reshape(len(values), m_count, m_count)
+    cols = [_lag_column(power, K * at.spacing * u, m_count, gather)
+            for at in geoms]
+    stack = np.array([_normalize(_toeplitz(col)) for col in cols]).reshape(
+        len(cols), m_count, m_count)
     _validate(stack)
-    if failure is not None:
-        raise failure
-    matrices = [ImpedanceMatrix(values=z, self_power=p)
-                for z, p in zip(stack, powers)]
+    matrices = [ImpedanceMatrix(values=z, self_power=float(col[0]))
+                for z, col in zip(stack, cols)]
     for z, cond in zip(matrices, condition_number(stack).tolist()):
         vars(z)["condition"] = cond  # where the cached_property keeps it
     return matrices

@@ -51,23 +51,13 @@ def condition_number(a):
     return float(ratio) if np.ndim(ratio) == 0 else ratio
 
 
-def _allclose(a, b, atol, axis=None):
+def _allclose(a, b, atol):
     """``np.allclose(a, b, atol=atol)``: every |a - b| <= atol + 1e-5 |b|
     where b is finite, or a == b, with the same predicate and without
-    that wrapper's per-call cost.  With ``axis``, the answer of each
-    slice along it, as a boolean array."""
+    that wrapper's per-call cost."""
     with np.errstate(invalid="ignore"):
-        close = ((np.abs(a - b) <= atol + 1e-5 * np.abs(b)) &
-                 np.isfinite(b) | (a == b)).all(axis=axis)
-    return bool(close) if axis is None else close
-
-
-def _leading(flags):
-    """How many of the 1-D boolean ``flags`` are True before the first
-    False: the count of a batch's items that pass a check before the
-    first that fails it."""
-    failed = np.flatnonzero(~np.asarray(flags, dtype=bool))
-    return int(failed[0]) if failed.size else len(flags)
+        return bool(((np.abs(a - b) <= atol + 1e-5 * np.abs(b)) &
+                     np.isfinite(b) | (a == b)).all())
 
 
 def _passes_gate(cond):
@@ -77,25 +67,18 @@ def _passes_gate(cond):
 
 
 def gate_sweep(stack, context="matrix"):
-    """The checks ``gated_solve`` without Tikhonov makes, on each matrix
-    of the (N, M, M) ``stack`` in turn, from one stacked SVD.
-
-    Returns (conditions, refusal): the condition number of each leading
-    matrix that passes (finite entries, then the gate), and the error
-    ``gated_solve`` raises for the first one that does not, or None.  A
-    caller checks what it does with the passing matrices first, as a
-    loop of ``gated_solve`` calls would, and then raises ``refusal``.
-    """
+    """The checks ``gated_solve`` without Tikhonov makes, over the whole
+    (N, M, M) ``stack`` from one stacked SVD: ``ValueError`` if any
+    entry is not finite, then ``ConditionGateError`` for the first
+    matrix past the gate.  Returns the condition numbers."""
     stack = np.asarray(stack)
-    finite = _leading(np.isfinite(stack).all(axis=(-2, -1)))
-    conditions = condition_number(stack[:finite])
-    passed = _leading(_passes_gate(conditions))
-    if passed < finite:
-        return conditions[:passed], ConditionGateError(
-            float(conditions[passed]), CONDITION_GATE, context)
-    if finite < len(stack):
-        return conditions, ValueError(NON_FINITE)
-    return conditions, None
+    _require_finite(stack)
+    conditions = condition_number(stack)
+    passed = _passes_gate(conditions)
+    if not passed.all():
+        raise ConditionGateError(float(conditions[passed.argmin()]),
+                                 CONDITION_GATE, context)
+    return conditions
 
 
 def gated_solve(a, b, tikhonov=None, context="matrix", condition=None):

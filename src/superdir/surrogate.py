@@ -55,22 +55,20 @@ def coupling_truth_sweep(networks, term=TerminationSpec()):
     ``networks`` is a sequence of complex (M, M) port networks.
     Exciting port m with a unit source while the others are loaded with
     Z_L induces currents (Z_c + Z_L I)^-1 applied column by column; the
-    current matrix scaled to unit mean diagonal is C_true.  The gate's
-    SVDs, the solves and cond(C) are one stacked LAPACK call each, and a
-    network that fails a check raises what solving the networks one at
-    a time through ``linalg.gated_solve`` would raise first.
+    current matrix scaled to unit mean diagonal is C_true.  The whole
+    sweep is refused in check order: ``linalg.gate_sweep`` (non-finite
+    entries, then the gate), then one stacked solve, then the zero mean
+    diagonal current.  The gate's SVDs, the solves and cond(C) are one
+    stacked LAPACK call each.
     """
     networks = np.asarray(networks)
     m_count = networks.shape[-1]
     a = networks + term.load * np.eye(m_count)
-    conditions, refusal = gate_sweep(a, context="terminated port network")
-    currents = np.linalg.solve(a[:len(conditions)],
-                               np.eye(m_count, dtype=complex))
+    gate_sweep(a, context="terminated port network")
+    currents = np.linalg.solve(a, np.eye(m_count, dtype=complex))
     scale = np.diagonal(currents, axis1=-2, axis2=-1).mean(axis=-1)
     if (scale == 0.0).any():
         raise ValueError("degenerate port network: zero mean diagonal current")
-    if refusal is not None:
-        raise refusal
     c = currents / scale[:, None, None]
     return [CouplingMatrix(values=values, condition=cond)
             for values, cond in zip(c, condition_number(c).tolist())]

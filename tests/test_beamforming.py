@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -366,6 +368,55 @@ def test_pattern_metrics_matches_scalar_walk():
                               equal_nan=True), (steer, got, want)
         count += 1
     assert count == 4 * 41 + 4
+
+
+def _psll_by_deleting_the_lobe(power, angles, steer):
+    """(psll_db as ``np.delete`` of the main lobe's indices gives it, and
+    (whether the lobe crosses the +-180 degree seam, whether it ends at
+    the first or last sample)), or None for a cut without sidelobes."""
+    n = len(power)
+    peak_idx = int(np.argmin(np.abs((angles - steer + 180.0) % 360.0 -
+                                    180.0)))
+    peak = power[peak_idx]
+    walks = [beamforming._walk(power.tolist(), peak_idx, direction,
+                               0.5 * float(peak), angles[1] - angles[0])[0]
+             for direction in (+1, -1)]
+    right_min, left_min = walks
+    if None in walks or right_min == left_min:
+        return None
+    lobe = np.arange(left_min, left_min + (right_min - left_min) % n + 1)
+    highest = np.delete(power, lobe % n).max()
+    psll = (DELTA_F_FLOOR_DB if highest <= 0.0 else
+            min(float(10.0 * np.log10(highest / peak)), 0.0))
+    return psll, (left_min > right_min, left_min == 0 or right_min == n - 1)
+
+
+def test_psll_matches_deleting_the_lobe_bit_for_bit():
+    # random array cuts, half of them steered within 20 degrees of the
+    # seam, so some main lobes cross it and some end on the first or
+    # last sample, leaving one slice outside them
+    rng = np.random.default_rng(5)
+    seen = Counter()
+    for angles in (np.rad2deg(hplane_grid(1.0).phi), 1.2 * np.arange(300)):
+        for case in range(400):
+            geom = ArrayGeometry(element_count=int(rng.integers(2, 17)),
+                                 spacing=float(rng.uniform(0.05, 0.6)))
+            a = rng.standard_normal(geom.element_count) + \
+                1j * rng.standard_normal(geom.element_count)
+            cut = steering_matrix(geom, np.full(len(angles), np.pi / 2),
+                                  np.deg2rad(angles), "in_plane")
+            power = np.abs(cut @ a) ** 2
+            steer = float(rng.uniform(-180.0, 180.0) if case % 2 else
+                          180.0 + rng.uniform(-20.0, 20.0))
+            want = _psll_by_deleting_the_lobe(power, angles, steer)
+            if want is None:
+                continue
+            got = pattern_metrics(power, angles, steer).psll_db
+            assert np.float64(got).view(np.int64) == \
+                np.float64(want[0]).view(np.int64), (steer, got, want)
+            seen.update([want[1]])
+    assert seen[(True, False)] and seen[(False, True)] and \
+        seen[(False, False)], seen
 
 
 def test_pattern_metrics_refusals():

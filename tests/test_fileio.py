@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -326,6 +328,30 @@ def test_sweep_csv_roundtrip(tmp_path):
     path = tmp_path / "sweep.csv"
     fileio.write_sweep_csv(path, rows)
     assert read_sweep(path) == rows
+
+
+def test_sweep_csv_bytes_match_the_csv_writer(tmp_path):
+    # the bytes csv.writer wrote with each number as format(x, ".17g"):
+    # CRLF, unquoted method names, and nan, inf and -0 as %.17g has them
+    values = [0.1, np.float64(1.0) / 3.0, np.nan, np.inf, -np.inf, -0.0,
+              5e-324, 1e300, -2.5, 7]
+    rows = [dict({"method": method},
+                 **{col: values[(i + j) % len(values)] for j, col in
+                    enumerate(c for c in fileio.SWEEP_COLUMNS
+                              if c != "method")})
+            for i, method in enumerate(
+                ["mrt", "traditional", "proposed", "theoretical", "a%sb"])]
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(fileio.SWEEP_COLUMNS)
+    for row in rows:
+        writer.writerow([row[col] if col == "method" else
+                         format(float(row[col]), ".17g")
+                         for col in fileio.SWEEP_COLUMNS])
+    path = tmp_path / "sweep.csv"
+    fileio.write_sweep_csv(path, rows)
+    assert path.read_bytes() == text.getvalue().encode()
+    assert b"nan" in path.read_bytes() and b",-0," in path.read_bytes()
 
 
 def test_pattern_csv_roundtrip(tmp_path):

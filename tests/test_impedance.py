@@ -230,12 +230,17 @@ def _break_normalize(monkeypatch, faults):
     monkeypatch.setattr(impedance, "_normalize", broken)
 
 
+# The sweep's checks, in the order it makes each one over every spacing.
+Z_CHECK_ORDER = ["spacing", "asymmetric", "diagonal", "indefinite"]
+
+
 @pytest.mark.parametrize("later", [None, "spacing"] + sorted(Z_FAULTS))
 @pytest.mark.parametrize("first", ["spacing"] + sorted(Z_FAULTS))
 def test_z_full_sweep_raises_for_the_first_failing_spacing(monkeypatch, first,
                                                            later):
-    # each spacing's checks in validate's order, spacing by spacing, as
-    # building and checking one Z at a time raises them
+    # a lone fault raises what ArrayGeometry or ImpedanceMatrix.validate
+    # raises for it; of two, the one whose check comes first in
+    # Z_CHECK_ORDER, wherever it sits in the sweep
     spacings = list(SPACINGS)
     faults = {17: first}
     if later is not None:
@@ -244,14 +249,15 @@ def test_z_full_sweep_raises_for_the_first_failing_spacing(monkeypatch, first,
         if fault == "spacing":
             spacings[index] = -0.1
     _break_normalize(monkeypatch, faults)
-    if first == "spacing":
+    named = min(faults.values(), key=Z_CHECK_ORDER.index)
+    if named == "spacing":
         with pytest.raises(ValueError) as expected:
             ArrayGeometry(4, -0.1)
         message = str(expected.value)
     else:
-        message = Z_FAULTS[first][1]
+        message = Z_FAULTS[named][1]
         with pytest.raises(ValueError, match="^%s$" % message):
-            ImpedanceMatrix(values=Z_FAULTS[first][0](np.eye(4))).validate()
+            ImpedanceMatrix(values=Z_FAULTS[named][0](np.eye(4))).validate()
     with pytest.raises(ValueError) as raised:
         z_full_sweep(ArrayGeometry(4, 0.1), sphere_grid(16, 32), spacings)
     assert str(raised.value) == message

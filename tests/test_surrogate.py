@@ -76,14 +76,13 @@ def test_coupling_truth_sweep_matches_one_network_at_a_time(element,
             assert type(got.condition) is float
 
 
-def _first_error(networks):
-    """(type, message) of the first error that solving ``networks`` one
-    at a time raises, or None."""
-    for zc in networks:
-        try:
-            _coupling_truth_one(zc)
-        except (ValueError, ConditionGateError) as exc:
-            return type(exc), str(exc)
+def _error(zc):
+    """(type, message) of the error that the one-network solve of ``zc``
+    raises, or None."""
+    try:
+        _coupling_truth_one(zc)
+    except (ValueError, ConditionGateError) as exc:
+        return type(exc), str(exc)
     return None
 
 
@@ -100,26 +99,36 @@ BAD_NETWORKS = {
 }
 
 
+# The sweep's checks, in the order it makes each one over every network.
+NETWORK_CHECK_ORDER = ["non-finite", "gated", "zero-current"]
+
+
 @pytest.mark.parametrize("later", [None] + sorted(BAD_NETWORKS))
 @pytest.mark.parametrize("first", sorted(BAD_NETWORKS))
 def test_coupling_truth_sweep_raises_for_the_first_failing_network(first,
                                                                    later):
-    # what a loop of one-network solves raises first, the gate's order
-    # (entries, then the gate) and the zero-current check included
+    # a lone fault raises what the one-network solve raises for it; of
+    # two, the one whose check comes first in NETWORK_CHECK_ORDER
+    # (entries, the gate, then the zero-current check), wherever it sits
+    # in the sweep, and the earlier network when both fail one check
     m_count = 4
     networks = port_impedance_sweep(ArrayGeometry(m_count, 0.1),
                                     SWEEP_SPACINGS)
-    networks[17] = BAD_NETWORKS[first](m_count)
+    faults = {17: first}
     if later is not None:
-        networks[31] = BAD_NETWORKS[later](m_count)
-    expected = _first_error(networks)
+        faults[31] = later
+    for index, fault in faults.items():
+        networks[index] = BAD_NETWORKS[fault](m_count)
+    named = min(faults, key=lambda index: NETWORK_CHECK_ORDER.index(
+        faults[index]))
+    expected = _error(networks[named])
     assert expected is not None and expected[0] is (
-        ConditionGateError if first == "gated" else ValueError)
+        ConditionGateError if faults[named] == "gated" else ValueError)
     with pytest.raises(expected[0]) as raised:
         coupling_truth_sweep(networks)
     assert str(raised.value) == expected[1]
     with pytest.raises(expected[0]) as alone:
-        coupling_truth(networks[17])
+        coupling_truth(networks[named])
     assert str(alone.value) == expected[1]
 
 
