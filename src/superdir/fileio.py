@@ -1,8 +1,8 @@
 """File formats: geometry JSON, measurement CSVs, field dumps, result files.
 
-All numeric output uses 17 significant digits so emitted files
-round-trip losslessly through these parsers and repeated runs are
-byte-identical.
+CSV cells are ``%.17g`` text and JSON numbers Python's shortest
+round-trip repr, so every finite number read back through these
+parsers keeps its bits and repeated runs are byte-identical.
 """
 
 import json
@@ -107,19 +107,32 @@ DUMP_COLUMNS = ["theta_deg", "phi_deg", "e_theta_re", "e_theta_im",
 PATTERN_COLUMNS = ["phi_deg", "power_db_normalized"]
 
 
+def _cells(columns):
+    """The ``%.17g`` text of every value of the equal-length float
+    ``columns``, row by row, formatting each distinct value once.
+
+    Values are told apart by bit pattern, not by ``==``: -0.0 prints
+    ``-0`` where 0.0 prints ``0``, and every NaN prints ``nan``.
+    """
+    table = np.column_stack(columns).astype(float)
+    bits, slot = np.unique(table.view(np.int64).ravel(), return_inverse=True)
+    text = np.array(["%.17g" % v for v in bits.view(float).tolist()],
+                    dtype=object)
+    return tuple(text[slot].tolist())
+
+
 def _write_table(path, header, columns, rows=None):
     """Write equal-length float columns under a header, one %.17g cell
     per value and CRLF line ends, as ``csv.writer`` writes them.
 
-    ``rows`` is the text of every row with a ``%.17g`` slot per value of
-    ``columns``, for a caller that has formatted its other cells already.
+    ``rows`` is the text of every row with a ``%s`` slot per value of
+    ``columns``, for a caller that has written its other cells already.
     """
-    table = np.column_stack(columns).astype(float)
     if rows is None:
-        rows = (",".join(["%.17g"] * len(header)) + "\r\n") * len(table)
+        rows = (",".join(["%s"] * len(header)) + "\r\n") * len(columns[0])
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
-        handle.write(rows % tuple(table.ravel().tolist()))
+        handle.write(rows % _cells(columns))
 
 
 def _check_rows(path, lines, linenos, width):
@@ -235,11 +248,10 @@ def write_field_dump(directory, fields, geom, grid_params):
     os.makedirs(directory, exist_ok=True)
     theta_deg = np.rad2deg(fields.grid.theta)
     phi_deg = np.rad2deg(fields.grid.phi)
-    # Every port shares the angle and e_phi cells: format them once,
-    # leaving a %.17g slot per E_theta cell.
-    angles = np.column_stack([theta_deg, phi_deg]).ravel().tolist()
-    rows = ("%.17g,%.17g,%%.17g,%%.17g,0,0\r\n" * len(theta_deg)) % \
-        tuple(angles)
+    # Every port shares the angle and e_phi cells: write them once,
+    # leaving a slot per E_theta cell.
+    rows = ("%s,%s,%%s,%%s,0,0\r\n" * len(theta_deg)) % \
+        _cells([theta_deg, phi_deg])
     files = []
     for m in range(fields.element_count):
         name = "port_%d.csv" % (m + 1,)
@@ -366,9 +378,9 @@ SWEEP_COLUMNS = ["spacing_wl", "method", "directivity", "gain",
 
 def write_sweep_csv(path, rows):
     """Rows are dicts keyed by SWEEP_COLUMNS; method stays a string."""
-    # Each row's method text goes in beforehand, leaving a %.17g slot
-    # per number.
-    template = ",".join("{}" if col == "method" else "%.17g"
+    # Each row's method text goes in beforehand, leaving a slot per
+    # number.
+    template = ",".join("{}" if col == "method" else "%s"
                         for col in SWEEP_COLUMNS) + "\r\n"
     text = "".join(template.format(row["method"].replace("%", "%%"))
                    for row in rows)

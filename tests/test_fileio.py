@@ -16,8 +16,8 @@ from superdir.coupling import CouplingMatrix, FieldMatrix, PatternMeasurement
 from superdir.fileio import ValidationError
 from superdir.geometry import (ArrayGeometry, Direction, hplane_grid,
                                sphere_grid)
-from superdir.impedance import z_isotropic_closed
-from superdir.surrogate import isolated_fields
+from superdir.impedance import port_impedance_for, z_isotropic_closed
+from superdir.surrogate import couple, coupling_truth, isolated_fields
 
 from tables import read_pattern, read_sweep
 
@@ -354,6 +354,85 @@ def test_sweep_csv_bytes_match_the_csv_writer(tmp_path):
     assert b"nan" in path.read_bytes() and b",-0," in path.read_bytes()
 
 
+def _csv_bytes(header, columns):
+    """What csv.writer writes for ``header`` over the rows of ``columns``,
+    each cell format(float(v), ".17g"): a reference that shares no code
+    with fileio's writer."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([format(float(v), ".17g") for v in row])
+    return text.getvalue().encode()
+
+
+def _assert_dump_matches_the_csv_writer(directory, fields):
+    grid = fields.grid
+    theta_deg, phi_deg = np.rad2deg(grid.theta), np.rad2deg(grid.phi)
+    zero = np.zeros(grid.size)
+    for m in range(fields.element_count):
+        e_theta = fields.values[:, m]
+        assert (directory / ("port_%d.csv" % (m + 1,))).read_bytes() == \
+            _csv_bytes(fileio.DUMP_COLUMNS,
+                       [theta_deg, phi_deg, e_theta.real, e_theta.imag,
+                        zero, zero])
+
+
+# 0 beside -0, NaNs of both signs and a third payload, the infinities, the
+# smallest subnormal and the largest doubles
+SPECIALS = np.concatenate([
+    [0.0, -0.0],
+    np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF4000000000123],
+             dtype=np.uint64).view(float),
+    [np.inf, -np.inf, 5e-324, 1.7976931348623157e308,
+     -1.7976931348623157e308, 0.1, -2.5]])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_table_bytes_match_the_csv_writer(tmp_path, seed):
+    # every column holds each special value, repeated, in shuffled slots;
+    # values that compare equal but print apart (0 and -0) keep their text
+    grid = sphere_grid(4, 8)
+    rng = np.random.default_rng(seed)
+
+    def column(values):
+        drawn = np.concatenate(
+            [values, rng.choice(values, grid.size - len(values))])
+        return drawn[rng.permutation(grid.size)]
+
+    phi, db, re, im = (column(SPECIALS) for _ in range(4))
+    amplitude = column(SPECIALS[~(SPECIALS < 0.0)])
+    fileio.write_pattern_csv(tmp_path / "pattern.csv", phi, db)
+    assert (tmp_path / "pattern.csv").read_bytes() == \
+        _csv_bytes(fileio.PATTERN_COLUMNS, [phi, db])
+    fileio.write_measurement_csv(
+        tmp_path / "isolated_1.csv",
+        PatternMeasurement(phi_deg=phi, amplitude=amplitude, phase_deg=db))
+    assert (tmp_path / "isolated_1.csv").read_bytes() == \
+        _csv_bytes(fileio.MEASUREMENT_COLUMNS, [phi, amplitude, db])
+    # set the parts by bits: re + 1j * im would turn 0 * inf into nan
+    values = np.empty((grid.size, 2), dtype=complex)
+    values.real, values.imag = np.column_stack([re, im]), \
+        np.column_stack([im, re])
+    fields = FieldMatrix(values=values, grid=grid)
+    fileio.write_field_dump(tmp_path / "dump", fields,
+                            ArrayGeometry(element_count=2, spacing=0.3), {})
+    _assert_dump_matches_the_csv_writer(tmp_path / "dump", fields)
+
+
+def test_axial_dump_bytes_match_the_csv_writer(tmp_path):
+    # an axial array's fields do not depend on phi, so each port column
+    # repeats one value per theta ring over the 16 phi points
+    geom = ArrayGeometry(element_count=4, spacing=0.1, element="ideal_dipole")
+    grid = sphere_grid(8, 16)
+    es = isolated_fields(geom, grid)
+    ec = couple(es, coupling_truth(port_impedance_for(geom)).values)
+    for name, fields in (("es", es), ("ec", ec)):
+        assert all(len(set(col.tolist())) <= 8 for col in fields.values.T)
+        fileio.write_field_dump(tmp_path / name, fields, geom, {})
+        _assert_dump_matches_the_csv_writer(tmp_path / name, fields)
+
+
 def test_pattern_csv_roundtrip(tmp_path):
     phi = np.arange(-179.0, 181.0, 1.0)
     db = -30.0 * np.abs(np.sin(np.deg2rad(phi)))
@@ -616,9 +695,10 @@ def test_table_cells_are_ascii_decimals(tmp_path, cell):
                          ids=["h_plane", "full_sphere"])
 @pytest.mark.parametrize("seed", range(3))
 def test_write_field_dump_matches_per_port_tables(tmp_path, grid, seed):
-    # one row template per dump gives the bytes of formatting every
-    # column of every port, for any double, signed zeros and subnormals,
-    # with the e_phi columns written as 0
+    # the angle text shared by a dump's ports gives the bytes of writing
+    # every column of every port through _write_table, for any double,
+    # signed zeros and subnormals, with the e_phi columns written as 0;
+    # the tables' bytes themselves are pinned to csv.writer above
     rng = np.random.default_rng(seed)
     m_count = 3
     parts = rng.standard_normal((grid.size, 2 * m_count)) * \
